@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -268,8 +269,11 @@ func (b *B) SolverStep() error {
 	return nil
 }
 
-// AddTuples charges n derived tuples to the tuple budget.
-func (b *B) AddTuples(n int64, where string) error {
+// AddTuples charges n derived tuples to the tuple budget. where names
+// the caller for the report; its parts are concatenated only if the
+// budget trips, so a caller charging every tuple passes a prefix and a
+// name and builds no string on the way.
+func (b *B) AddTuples(n int64, where ...string) error {
 	if b == nil {
 		return nil
 	}
@@ -280,14 +284,15 @@ func (b *B) AddTuples(n int64, where string) error {
 		return nil
 	}
 	if b.tuplesLeft.Add(-n) < 0 {
-		return b.trip(Tuples, b.limits.Tuples, where)
+		return b.trip(Tuples, b.limits.Tuples, strings.Join(where, ""))
 	}
 	return nil
 }
 
 // CheckCond validates one derived condition's atom count against the
-// per-condition size budget.
-func (b *B) CheckCond(atoms int, where string) error {
+// per-condition size budget. where is joined only on a trip, as in
+// AddTuples.
+func (b *B) CheckCond(atoms int, where ...string) error {
 	if b == nil {
 		return nil
 	}
@@ -295,7 +300,7 @@ func (b *B) CheckCond(atoms int, where string) error {
 		return t
 	}
 	if b.limits.CondSize > 0 && int64(atoms) > b.limits.CondSize {
-		return b.trip(CondSize, b.limits.CondSize, where)
+		return b.trip(CondSize, b.limits.CondSize, strings.Join(where, ""))
 	}
 	return nil
 }

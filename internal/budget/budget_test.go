@@ -85,6 +85,33 @@ func TestCondSizeBudget(t *testing.T) {
 	}
 }
 
+// TestWherePartsJoinedOnTrip: a location passed in parts reads as the
+// concatenation in the report, and building it costs nothing while the
+// budget holds.
+func TestWherePartsJoinedOnTrip(t *testing.T) {
+	pred := "reach"
+	b := New(nil, Limits{Tuples: 1, CondSize: 4})
+	if n := testing.AllocsPerRun(100, func() {
+		if err := b.CheckCond(3, "derived condition for ", pred); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CheckCond within budget allocates %v times, want 0", n)
+	}
+	err := b.CheckCond(5, "derived condition for ", pred)
+	if ex, ok := As(err); !ok || ex.Where != "derived condition for reach" {
+		t.Fatalf("want a trip at %q, got %v", "derived condition for reach", err)
+	}
+	b = New(nil, Limits{Tuples: 1})
+	if err := b.AddTuples(1, "derived relation ", pred); err != nil {
+		t.Fatal(err)
+	}
+	err = b.AddTuples(1, "derived relation ", pred)
+	if ex, ok := As(err); !ok || ex.Where != "derived relation reach" {
+		t.Fatalf("want a trip at %q, got %v", "derived relation reach", err)
+	}
+}
+
 func TestContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	b := New(ctx, Limits{})

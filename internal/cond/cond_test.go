@@ -1,6 +1,9 @@
 package cond
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -408,5 +411,132 @@ func TestTermStringQuoting(t *testing.T) {
 		if got := Str(in).String(); got != want {
 			t.Errorf("Str(%q).String() = %q, want %q", in, got, want)
 		}
+	}
+}
+
+func TestComplementDetectionAmongMany(t *testing.T) {
+	// More children than combine's stack buffer, with each complement
+	// pair separated in canonical order by other atoms.
+	var fs []*Formula
+	for i := int64(0); i < 10; i++ {
+		fs = append(fs, Compare(CVar("v"), Lt, Int(i)))
+	}
+	ge := Compare(CVar("v"), Ge, Int(4))
+	if f := And(append(fs, ge)...); !f.IsFalse() {
+		t.Errorf("v<4 && ... && v>=4 should be false, got %v", f)
+	}
+	if f := Or(append([]*Formula{ge}, fs...)...); !f.IsTrue() {
+		t.Errorf("v<4 || ... || v>=4 should be true, got %v", f)
+	}
+	sum := AtomF(NewSumAtom([]Term{CVar("a"), CVar("b")}, Eq, Int(1)))
+	if f := And(sum, Compare(CVar("c"), Eq, Int(0)), Not(sum)); !f.IsFalse() {
+		t.Errorf("a+b=1 && c=0 && a+b!=1 should be false, got %v", f)
+	}
+	or := Or(Compare(CVar("x"), Eq, Int(1)), Compare(CVar("y"), Eq, Int(2)))
+	if f := And(Compare(CVar("z"), Eq, Int(3)), Not(or), or); !f.IsFalse() {
+		t.Errorf("g && !g should be false, got %v", f)
+	}
+	if f := And(append(fs[:9:9], fs[0], fs[3])...); f.Kind != FAnd || len(f.Sub) != 9 {
+		t.Errorf("And should dedup past its stack buffer, got %v", f)
+	}
+}
+
+// referenceCombine is the textbook canonical conjunction: recursive
+// flattening, map dedup, sort, and complement detection by comparing
+// every atom pair. It returns (nil, true) when the conjunction
+// collapses to false.
+func referenceCombine(fs []*Formula) ([]*Formula, bool) {
+	seen := map[*Formula]bool{}
+	var flat []*Formula
+	var add func(f *Formula) bool
+	add = func(f *Formula) bool {
+		switch f.Kind {
+		case FTrue:
+			return true
+		case FFalse:
+			return false
+		case FAnd:
+			for _, s := range f.Sub {
+				if !add(s) {
+					return false
+				}
+			}
+			return true
+		}
+		if !seen[f] {
+			seen[f] = true
+			flat = append(flat, f)
+		}
+		return true
+	}
+	for _, f := range fs {
+		if !add(f) {
+			return nil, true
+		}
+	}
+	sort.Slice(flat, func(i, j int) bool { return compareNode(flat[i], flat[j]) < 0 })
+	for _, f := range flat {
+		for _, g := range flat {
+			if f.Kind == FAtom && g.Kind == FAtom && g.Atom.Equal(f.Atom.Negate()) {
+				return nil, true
+			}
+			if f.Kind == FNot && f.Sub[0] == g {
+				return nil, true
+			}
+		}
+	}
+	return flat, false
+}
+
+func TestAndMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	ops := []Op{Eq, Ne, Lt, Le, Gt, Ge}
+	atom := func() *Formula {
+		return Compare(CVar(string(rune('a'+rnd.Intn(3)))), ops[rnd.Intn(len(ops))], Int(int64(rnd.Intn(3))))
+	}
+	var pool []*Formula
+	for i := 0; i < 20; i++ {
+		pool = append(pool, atom())
+	}
+	for i := 0; i < 10; i++ {
+		pool = append(pool, And(atom(), atom()), Or(atom(), atom()), Not(Or(atom(), atom())))
+	}
+	for trial := 0; trial < 2000; trial++ {
+		fs := make([]*Formula, rnd.Intn(14))
+		for i := range fs {
+			fs[i] = pool[rnd.Intn(len(pool))]
+		}
+		got := And(fs...)
+		want, isFalse := referenceCombine(fs)
+		switch {
+		case isFalse:
+			if !got.IsFalse() {
+				t.Fatalf("And(%v) = %v, want false", fs, got)
+			}
+		case len(want) == 0:
+			if !got.IsTrue() {
+				t.Fatalf("And(%v) = %v, want true", fs, got)
+			}
+		case len(want) == 1:
+			if got != want[0] {
+				t.Fatalf("And(%v) = %v, want %v", fs, got, want[0])
+			}
+		default:
+			if got.Kind != FAnd || !slices.Equal(got.Sub, want) {
+				t.Fatalf("And(%v) = %v, want the conjunction of %v", fs, got, want)
+			}
+		}
+	}
+}
+
+// TestAndNoAllocs locks in combine's zero-operand and one-operand fast
+// paths, the common case when a body match emits no equality.
+func TestAndNoAllocs(t *testing.T) {
+	f := Compare(CVar("x"), Eq, Int(1))
+	if n := testing.AllocsPerRun(100, func() { And() }); n != 0 {
+		t.Errorf("And() allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { And(f) }); n != 0 {
+		t.Errorf("And(f) allocates %v times, want 0", n)
 	}
 }

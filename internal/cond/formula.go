@@ -1,6 +1,7 @@
 package cond
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -147,62 +148,76 @@ func combine(kind FKind, fs []*Formula) *Formula {
 	if kind == FOr {
 		identity, absorber = falseF, trueF
 	}
-	flat := make([]*Formula, 0, len(fs))
-	// Children are interned, so a pointer set dedups structurally.
-	seen := make(map[*Formula]bool, len(fs))
-	var add func(f *Formula) bool
-	add = func(f *Formula) bool {
+	switch len(fs) {
+	case 0:
+		return identity
+	case 1:
+		// One canonical operand is already its own flattened, deduped,
+		// sorted combination.
+		if fs[0] == nil {
+			return identity
+		}
+		return fs[0]
+	}
+	// Gather the operands into a stack buffer (internNode copies it on a
+	// miss, so a hit allocates nothing). A same-kind operand contributes
+	// its children, which are canonical and so never identity, absorber
+	// or same-kind themselves: one level of flattening suffices.
+	var buf [8]*Formula
+	flat := buf[:0]
+	for _, f := range fs {
 		switch {
 		case f == nil || f.Kind == identity.Kind:
-			return true
 		case f.Kind == absorber.Kind:
-			return false
-		case f.Kind == kind:
-			for _, s := range f.Sub {
-				if !add(s) {
-					return false
-				}
-			}
-			return true
-		}
-		if seen[f] {
-			return true
-		}
-		seen[f] = true
-		flat = append(flat, f)
-		return true
-	}
-	for _, f := range fs {
-		if !add(f) {
 			return absorber
+		case f.Kind == kind:
+			flat = append(flat, f.Sub...)
+		default:
+			flat = append(flat, f)
 		}
 	}
+	// Canonical child order is purely structural (compareNode): it must
+	// not involve intern ids, whose assignment order is racy under the
+	// parallel engine, or determinism across worker counts would break.
+	// Children are interned and compareNode is 0 only for the same
+	// pointer, so duplicates end up adjacent.
+	slices.SortFunc(flat, compareNode)
+	flat = slices.Compact(flat)
 	switch len(flat) {
 	case 0:
 		return identity
 	case 1:
 		return flat[0]
 	}
-	// Canonical child order is purely structural (compareNode): it must
-	// not involve intern ids, whose assignment order is racy under the
-	// parallel engine, or determinism across worker counts would break.
-	sort.Slice(flat, func(i, j int) bool { return compareNode(flat[i], flat[j]) < 0 })
-	// Detect directly complementary atom pairs: a ∧ ¬a = false,
+	// Detect directly complementary children: a ∧ ¬a = false,
 	// a ∨ ¬a = true. Only syntactic complements are caught here; the
-	// solver handles the general case.
+	// solver handles the general case. The complement of a canonical
+	// atom is canonical as it stands (same sides, negated operator), so
+	// it is found by binary search in the sorted children, with no
+	// intern-table lookup.
 	n := 0
 	for _, f := range flat {
 		n += f.nAtoms
-		if f.Kind == FAtom {
-			if neg := lookupAtom(f.Atom.Negate().canonical()); neg != nil && seen[neg] {
+		switch f.Kind {
+		case FAtom:
+			if _, ok := slices.BinarySearchFunc(flat, f.Atom.Negate(), compareToAtom); ok {
+				return absorber
+			}
+		case FNot:
+			if _, ok := slices.BinarySearchFunc(flat, f.Sub[0], compareNode); ok {
 				return absorber
 			}
 		}
-		if f.Kind == FNot && seen[f.Sub[0]] {
-			return absorber
-		}
 	}
 	return internNode(kind, Atom{}, flat, n)
+}
+
+// compareToAtom places an atom node with atom a in compareNode's order.
+func compareToAtom(g *Formula, a Atom) int {
+	if g.Kind != FAtom {
+		return int(g.Kind) - int(FAtom)
+	}
+	return g.Atom.Compare(a)
 }
 
 // compareNode is the canonical structural order on interned formulas:

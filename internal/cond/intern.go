@@ -31,6 +31,7 @@ package cond
 // dashboard stability and is always zero under this policy.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -144,8 +145,8 @@ func shallowEqual(g *Formula, kind FKind, a Atom, sub []*Formula) bool {
 }
 
 // internNode returns the canonical node for (kind, a, sub), creating
-// and registering it on first sight. On a miss the sub slice is
-// retained; callers pass freshly built slices.
+// and registering it on first sight. On a miss the node gets its own
+// copy of sub, so callers may pass a scratch buffer.
 func internNode(kind FKind, a Atom, sub []*Formula, nAtoms int) *Formula {
 	h := hashNode(kind, a, sub)
 	sh := &interned.shards[h&(internShardCount-1)]
@@ -157,30 +158,13 @@ func internNode(kind FKind, a Atom, sub []*Formula, nAtoms int) *Formula {
 			return g
 		}
 	}
-	f := &Formula{Kind: kind, Atom: a, Sub: sub, hash: h, nAtoms: nAtoms, cvars: freeVars(kind, a, sub)}
+	f := &Formula{Kind: kind, Atom: a, Sub: slices.Clone(sub), hash: h, nAtoms: nAtoms, cvars: freeVars(kind, a, sub)}
 	f.id = interned.nextID.Add(1)
 	sh.m[h] = append(sh.m[h], f)
 	sh.mu.Unlock()
 	interned.misses.Add(1)
 	interned.live.Add(1)
 	return f
-}
-
-// lookupAtom probes for the interned node of a canonical atom without
-// creating it (combine's complement detection must not populate the
-// table with negations nobody built). Probes count as neither hits nor
-// misses.
-func lookupAtom(a Atom) *Formula {
-	h := hashNode(FAtom, a, nil)
-	sh := &interned.shards[h&(internShardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, g := range sh.m[h] {
-		if g.Kind == FAtom && g.Atom.Equal(a) {
-			return g
-		}
-	}
-	return nil
 }
 
 // freeVars merges the sorted, duplicate-free c-variable names of a

@@ -305,7 +305,10 @@ func EvalQuery(prog *Program, db *ctable.Database, pred string, opts Options) (*
 }
 
 type engine struct {
-	prog  *Program
+	prog *Program
+	// rules holds prog.Rules compiled for this evaluation, in program
+	// order (see compile.go).
+	rules []*crule
 	db    *ctable.Database
 	opts  Options
 	store *relstore.Store
@@ -425,6 +428,10 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 		e.provStart = opts.Prov.Stats()
 	}
 	e.needSrcs = e.trace != nil || e.prov != nil
+	e.rules = make([]*crule, len(prog.Rules))
+	for i, r := range prog.Rules {
+		e.rules[i] = compileRule(r)
+	}
 	// Record arities: program predicates plus database relations.
 	for _, r := range prog.Rules {
 		e.noteArity(r.Head.Pred, len(r.Head.Args))
@@ -576,21 +583,28 @@ func (e *engine) runStrata(evalSpan obs.Span) error {
 		e.derivedOrder = append(e.derivedOrder, pred)
 	}
 	for si, preds := range strata {
-		inStratum := map[string]bool{}
-		for _, pr := range preds {
-			inStratum[pr] = true
-		}
-		var rules []Rule
-		for _, r := range e.prog.Rules {
-			if inStratum[r.Head.Pred] {
-				rules = append(rules, r)
-			}
-		}
+		rules, inStratum := e.stratumRules(preds)
 		if err := e.evalStratum(rules, inStratum, evalSpan, si); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// stratumRules returns, in program order, the compiled rules defining
+// one stratum's predicates, and the stratum's predicate set.
+func (e *engine) stratumRules(preds []string) ([]*crule, map[string]bool) {
+	inStratum := map[string]bool{}
+	for _, pr := range preds {
+		inStratum[pr] = true
+	}
+	var rules []*crule
+	for _, r := range e.rules {
+		if inStratum[r.src.Head.Pred] {
+			rules = append(rules, r)
+		}
+	}
+	return rules, inStratum
 }
 
 // reportTotals publishes the run's aggregate counters and the phase
@@ -638,9 +652,9 @@ func (e *engine) reportTotals(evalSpan obs.Span) {
 // predicates of a stratum.
 type delta map[string][]ctable.Tuple
 
-func (e *engine) evalStratum(rules []Rule, recursive map[string]bool, evalSpan obs.Span, stratum int) error {
+func (e *engine) evalStratum(rules []*crule, recursive map[string]bool, evalSpan obs.Span, stratum int) error {
 	for _, r := range rules {
-		e.store.Ensure(r.Head.Pred, len(r.Head.Args))
+		e.store.Ensure(r.src.Head.Pred, len(r.head))
 	}
 	cur := delta{}
 	sink := func(pred string, tp ctable.Tuple) {
@@ -663,7 +677,7 @@ func (e *engine) evalStratum(rules []Rule, recursive map[string]bool, evalSpan o
 		cur = delta{}
 		units = units[:0]
 		for _, r := range rules {
-			for i, a := range r.Body {
+			for i, a := range r.body {
 				if a.Neg || !recursive[a.Pred] {
 					continue
 				}
@@ -775,63 +789,78 @@ func (e *engine) annotate(err error, stratum, round int) error {
 }
 
 // emitFn receives each completed body match of a rule application:
-// the rule, the final variable bindings, the accumulated body
-// conditions and (when tracing) the source tuples. The sequential
-// engine plugs in emit directly; the parallel workers plug in a
-// candidate collector (see runUnit).
-type emitFn func(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source) error
+// the rule (its body in execution order), the slot values of the final
+// bindings, the accumulated body conditions and (when tracing) the
+// source tuples. vals is the join's live binding array: an emitFn must
+// not retain it. The sequential engine plugs in emit directly; the
+// parallel workers plug in a candidate collector (see runUnit).
+type emitFn func(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source) error
 
 // deriveRuleObserved wraps deriveRule in a "rule" span recording the
 // head predicate and how many tuples the application derived. With
 // observation off it is a tail call into deriveRule.
-func (e *engine) deriveRuleObserved(r Rule, deltaIdx int, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple), itSpan obs.Span) error {
-	emit := func(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source) error {
-		return e.emit(r, bind, conds, srcs, sink)
+func (e *engine) deriveRuleObserved(r *crule, deltaIdx int, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple), itSpan obs.Span) error {
+	emit := func(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source) error {
+		return e.emit(r, vals, conds, srcs, sink)
 	}
 	if !e.obsOn {
 		return e.deriveRule(r, deltaIdx, deltaTuples, emit)
 	}
-	sp := itSpan.StartChild("rule", obs.String("head", r.Head.Pred))
+	sp := itSpan.StartChild("rule", obs.String("head", r.src.Head.Pred))
 	before := e.stats.Derived
 	err := e.deriveRule(r, deltaIdx, deltaTuples, emit)
 	derived := int64(e.stats.Derived - before)
 	sp.SetAttrs(obs.Int("derived", derived))
 	sp.End()
-	e.o.Count("eval.rule_derived."+r.Head.Pred, derived)
+	e.o.Count("eval.rule_derived."+r.src.Head.Pred, derived)
 	return err
 }
 
+// app is one rule application's join state: the rule with its body in
+// execution order, the delta tuples fed to literal deltaIdx (-1: none)
+// and the slot bindings.
+type app struct {
+	e        *engine
+	r        *crule
+	deltaIdx int
+	delta    []ctable.Tuple
+	b        *binding
+	emit     emitFn
+}
+
 // deriveRule joins the rule body — with the deltaIdx-th literal
-// (an index into r.Body) restricted to deltaTuples when deltaIdx >= 0
-// — and inserts the resulting head tuples. Newly inserted tuples are
-// reported to sink.
-//
-// The body is evaluated positives-first so that every negated
-// literal's variables are bound before it is reached, whatever order
-// the rule was written in (safety is validated, so the reordering
-// always succeeds).
-func (e *engine) deriveRule(r Rule, deltaIdx int, deltaTuples []ctable.Tuple, emit emitFn) error {
+// (an index into the compiled, positives-first body) restricted to
+// deltaTuples when deltaIdx >= 0 — and hands each completed match to
+// emit.
+func (e *engine) deriveRule(r *crule, deltaIdx int, deltaTuples []ctable.Tuple, emit emitFn) error {
 	// Per-rule-application poll; the empty location is filled in with
 	// the stratum and round by the caller's annotate.
 	if err := e.bud.Check(""); err != nil {
 		return err
 	}
-	ordered := r
-	if reordered, mapped := reorderBody(r, deltaIdx); reordered != nil {
-		ordered.Body = reordered
-		deltaIdx = mapped
-	}
+	ordered := *r
 	// Join the delta literal first: its tuples are a plain slice, so
 	// leaving it deep in the join would make every outer combination
 	// scan it linearly, while putting it first lets the remaining
 	// literals use index probes on the variables it binds.
 	if deltaIdx > 0 {
-		body := make([]Atom, 0, len(ordered.Body))
-		body = append(body, ordered.Body[deltaIdx])
-		body = append(body, ordered.Body[:deltaIdx]...)
-		body = append(body, ordered.Body[deltaIdx+1:]...)
-		ordered.Body = body
+		body := make([]catom, 0, len(r.body))
+		body = append(body, r.body[deltaIdx])
+		body = append(body, r.body[:deltaIdx]...)
+		body = append(body, r.body[deltaIdx+1:]...)
+		ordered.body = body
 		deltaIdx = 0
+	}
+	if e.needSrcs {
+		ordered.str = ordered.String()
+	}
+	x := &app{
+		e:        e,
+		r:        &ordered,
+		deltaIdx: deltaIdx,
+		delta:    deltaTuples,
+		b:        newBinding(r.nvars),
+		emit:     emit,
 	}
 	// Cost-guided planning: when the greedy cost model finds a cheaper
 	// positive-literal order than the written one, run the planned
@@ -840,76 +869,57 @@ func (e *engine) deriveRule(r Rule, deltaIdx int, deltaTuples []ctable.Tuple, em
 	// way (see plan.go). A plan identical to the written order falls
 	// through to the streaming join, which costs nothing extra.
 	if !e.opts.NoPlan {
-		nPos := len(ordered.Body)
-		for i, a := range ordered.Body {
+		nPos := len(ordered.body)
+		for i, a := range ordered.body {
 			if a.Neg {
 				nPos = i
 				break
 			}
 		}
 		if nPos > 1 {
-			order, changed := e.planPositives(ordered, deltaIdx, nPos)
+			order, changed := e.planPositives(&ordered, deltaIdx, nPos)
 			e.plansPlanned.Add(1)
 			if changed {
 				e.plansReordered.Add(1)
-				return e.runPlanned(ordered, deltaIdx, deltaTuples, order, nPos, emit)
+				return x.runPlanned(order, nPos)
 			}
 		}
 	}
-	bind := map[string]cond.Term{}
-	conds := make([]*cond.Formula, 0, len(ordered.Body)+len(ordered.Comps)+1)
 	var srcs []Source
 	if e.needSrcs {
-		srcs = make([]Source, 0, len(ordered.Body))
+		srcs = make([]Source, 0, len(ordered.body))
 	}
-	return e.join(ordered, 0, bind, conds, srcs, deltaIdx, deltaTuples, emit)
+	return x.join(0, x.newConds(), srcs)
 }
 
-// reorderBody moves negated literals after the positive ones (stable
-// within each group) and remaps the delta index. It returns (nil, _)
-// when the body is already in order.
-func reorderBody(r Rule, deltaIdx int) ([]Atom, int) {
-	inOrder := true
-	seenNeg := false
-	for _, a := range r.Body {
-		if a.Neg {
-			seenNeg = true
-		} else if seenNeg {
-			inOrder = false
-			break
-		}
+// newConds returns an empty condition list with room for everything
+// one match accumulates: up to two conditions per positive literal (the
+// tuple's and the match's equalities), one per negated literal.
+func (x *app) newConds() []*cond.Formula {
+	return make([]*cond.Formula, 0, 2*len(x.r.body))
+}
+
+// String renders the rule with its body in the compiled order.
+func (r *crule) String() string {
+	src := r.src
+	src.Body = make([]Atom, len(r.body))
+	for i, a := range r.body {
+		src.Body[i] = a.Atom
 	}
-	if inOrder {
-		return nil, deltaIdx
-	}
-	out := make([]Atom, 0, len(r.Body))
-	mapped := deltaIdx
-	for i, a := range r.Body {
-		if !a.Neg {
-			if i == deltaIdx {
-				mapped = len(out)
-			}
-			out = append(out, a)
-		}
-	}
-	for _, a := range r.Body {
-		if a.Neg {
-			out = append(out, a)
-		}
-	}
-	return out, mapped
+	return src.String()
 }
 
 // join is safe to call from worker goroutines when emit is: besides
 // emit it touches only the frozen store, the (atomic) budget and
 // read-only engine configuration.
-func (e *engine) join(r Rule, i int, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source, deltaIdx int, deltaTuples []ctable.Tuple, emit emitFn) error {
-	if i == len(r.Body) {
-		return emit(r, bind, conds, srcs)
+func (x *app) join(i int, conds []*cond.Formula, srcs []Source) error {
+	r := x.r
+	if i == len(r.body) {
+		return x.emit(r, x.b.vals, conds, srcs)
 	}
-	a := r.Body[i]
+	a := &r.body[i]
 	if a.Neg {
-		f, pattern, err := e.negationCondition(a, bind)
+		f, pattern, err := x.e.negationCondition(a, x.b)
 		if err != nil {
 			return err
 		}
@@ -917,51 +927,51 @@ func (e *engine) join(r Rule, i int, bind map[string]cond.Term, conds []*cond.Fo
 			return nil
 		}
 		next := srcs
-		if e.needSrcs {
+		if x.e.needSrcs {
 			next = append(srcs, Source{Pred: a.Pred, Tuple: ctable.NewTuple(pattern, f), Negated: true})
 		}
-		return e.join(r, i+1, bind, append(conds, f), next, deltaIdx, deltaTuples, emit)
+		return x.join(i+1, append(conds, f), next)
 	}
-
-	tryTuple := func(tp ctable.Tuple) error {
-		extra, undo, ok := e.matchAtom(a, tp, bind)
-		if !ok {
-			return nil
-		}
-		next := append(conds, tp.Condition())
-		if !extra.IsTrue() {
-			next = append(next, extra)
-		}
-		nextSrcs := srcs
-		if e.needSrcs {
-			nextSrcs = append(srcs, Source{Pred: a.Pred, Tuple: tp})
-		}
-		if err := e.join(r, i+1, bind, next, nextSrcs, deltaIdx, deltaTuples, emit); err != nil {
-			return err
-		}
-		for _, v := range undo {
-			delete(bind, v)
-		}
-		return nil
-	}
-	if i == deltaIdx {
-		for _, tp := range deltaTuples {
-			if err := tryTuple(tp); err != nil {
+	if i == x.deltaIdx {
+		for _, tp := range x.delta {
+			if err := x.try(i, tp, conds, srcs); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	rel := e.store.Rel(a.Pred)
+	rel := x.e.store.Rel(a.Pred)
 	if rel == nil {
 		return nil
 	}
-	for _, idx := range e.candidateIdxs(rel, a, bind) {
-		if err := tryTuple(rel.Tuple(idx)); err != nil {
+	for _, idx := range x.e.candidateIdxs(rel, a, x.b) {
+		if err := x.try(i, rel.Tuple(idx), conds, srcs); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// try matches body literal i against one tuple and, on success, joins
+// the rest of the body under the extended bindings, then unbinds.
+func (x *app) try(i int, tp ctable.Tuple, conds []*cond.Formula, srcs []Source) error {
+	a := &x.r.body[i]
+	mark := x.b.mark()
+	extra, ok := matchAtom(a, tp, x.b)
+	if !ok {
+		return nil
+	}
+	next := append(conds, tp.Condition())
+	if !extra.IsTrue() {
+		next = append(next, extra)
+	}
+	nextSrcs := srcs
+	if x.e.needSrcs {
+		nextSrcs = append(srcs, Source{Pred: a.Pred, Tuple: tp})
+	}
+	err := x.join(i+1, next, nextSrcs)
+	x.b.undo(mark)
+	return err
 }
 
 // candidateIdxs narrows the tuples to scan for a body literal using
@@ -970,21 +980,20 @@ func (e *engine) join(r Rule, i int, bind map[string]cond.Term, conds []*cond.Fo
 // c-variable at that position is still a candidate (it may equal the
 // constant under a condition), so probes include the per-column
 // c-variable list.
-func (e *engine) candidateIdxs(rel *relstore.Relation, a Atom, bind map[string]cond.Term) []int {
+func (e *engine) candidateIdxs(rel *relstore.Relation, a *catom, b *binding) []int {
 	if e.opts.NoIndex {
 		return rel.All()
 	}
-	for col, t := range a.Args {
+	for col, t := range a.args {
 		var key cond.Term
-		switch t.Kind {
+		switch t.kind {
 		case TConst:
-			key = t.Const
+			key = t.sym
 		case TVar:
-			b, ok := bind[t.Name]
-			if !ok || b.IsCVar() {
+			if !b.bound[t.slot] || b.vals[t.slot].IsCVar() {
 				continue
 			}
-			key = b
+			key = b.vals[t.slot]
 		default:
 			continue
 		}
@@ -998,54 +1007,52 @@ func (e *engine) candidateIdxs(rel *relstore.Relation, a Atom, bind map[string]c
 // symbols; constants match themselves directly or any c-variable via
 // an emitted equality; rule c-variables match themselves directly or
 // any other symbol via an emitted equality. It returns the emitted
-// condition, the variables newly bound (for backtracking), and whether
-// the match is syntactically possible at all.
-func (e *engine) matchAtom(a Atom, tp ctable.Tuple, bind map[string]cond.Term) (*cond.Formula, []string, bool) {
-	var undo []string
-	fail := func() (*cond.Formula, []string, bool) {
-		for _, v := range undo {
-			delete(bind, v)
-		}
-		return nil, nil, false
-	}
-	extras := make([]*cond.Formula, 0, 2)
-	for i, t := range a.Args {
+// condition and whether the match is syntactically possible at all.
+// New bindings go on b's trail; on failure matchAtom unbinds them
+// itself, on success the caller undoes them when it backtracks.
+func matchAtom(a *catom, tp ctable.Tuple, b *binding) (*cond.Formula, bool) {
+	mark := b.mark()
+	var buf [4]*cond.Formula
+	extras := buf[:0]
+	for i, t := range a.args {
 		v := tp.Values[i]
-		switch t.Kind {
+		switch t.kind {
 		case TConst:
 			if v.IsConst() {
-				if !t.Const.Equal(v) {
-					return fail()
+				if t.sym != v {
+					b.undo(mark)
+					return nil, false
 				}
 				continue
 			}
-			extras = append(extras, cond.Compare(v, cond.Eq, t.Const))
+			extras = append(extras, cond.Compare(v, cond.Eq, t.sym))
 		case TCVar:
-			s := cond.CVar(t.Name)
-			if s.Equal(v) {
+			if t.sym == v {
 				continue
 			}
-			extras = append(extras, cond.Compare(s, cond.Eq, v))
+			extras = append(extras, cond.Compare(t.sym, cond.Eq, v))
 		case TVar:
-			if b, ok := bind[t.Name]; ok {
-				if b.Equal(v) {
+			if b.bound[t.slot] {
+				bv := b.vals[t.slot]
+				if bv == v {
 					continue
 				}
-				if b.IsConst() && v.IsConst() {
-					return fail()
+				if bv.IsConst() && v.IsConst() {
+					b.undo(mark)
+					return nil, false
 				}
-				extras = append(extras, cond.Compare(b, cond.Eq, v))
+				extras = append(extras, cond.Compare(bv, cond.Eq, v))
 				continue
 			}
-			bind[t.Name] = v
-			undo = append(undo, t.Name)
+			b.set(t.slot, v)
 		}
 	}
 	f := cond.And(extras...)
 	if f.IsFalse() {
-		return fail()
+		b.undo(mark)
+		return nil, false
 	}
-	return f, undo, true
+	return f, true
 }
 
 // negationCondition computes the "not derivable" condition for a
@@ -1053,19 +1060,17 @@ func (e *engine) matchAtom(a Atom, tp ctable.Tuple, bind map[string]cond.Term) (
 // disjunction, over every tuple of the relation, of the equalities
 // that would make the tuple match, conjoined with the tuple's own
 // condition. An empty or missing relation yields true.
-func (e *engine) negationCondition(a Atom, bind map[string]cond.Term) (*cond.Formula, []cond.Term, error) {
-	pattern := make([]cond.Term, len(a.Args))
-	for i, t := range a.Args {
-		switch t.Kind {
-		case TVar:
-			b, ok := bind[t.Name]
-			if !ok {
-				return nil, nil, fmt.Errorf("faurelog: unbound variable %s in negated literal %v", t.Name, a)
-			}
-			pattern[i] = b
-		default:
-			pattern[i] = t.Symbol()
+func (e *engine) negationCondition(a *catom, b *binding) (*cond.Formula, []cond.Term, error) {
+	pattern := make([]cond.Term, len(a.args))
+	for i, t := range a.args {
+		if t.kind != TVar {
+			pattern[i] = t.sym
+			continue
 		}
+		if t.slot < 0 || !b.bound[t.slot] {
+			return nil, nil, fmt.Errorf("faurelog: unbound variable %s in negated literal %v", t.name, a.Atom)
+		}
+		pattern[i] = b.vals[t.slot]
 	}
 	rel := e.store.Rel(a.Pred)
 	if rel == nil {
@@ -1081,8 +1086,9 @@ func (e *engine) negationCondition(a Atom, bind map[string]cond.Term) (*cond.For
 	if e.opts.NoIndex {
 		idxs = rel.All()
 	} else {
-		var cols []int
-		var keys []cond.Term
+		var colBuf [8]int
+		var keyBuf [8]cond.Term
+		cols, keys := colBuf[:0], keyBuf[:0]
 		for i, pv := range pattern {
 			if pv.IsConst() {
 				cols = append(cols, i)
@@ -1092,20 +1098,21 @@ func (e *engine) negationCondition(a Atom, bind map[string]cond.Term) (*cond.For
 		idxs = rel.CandidatesMulti(cols, keys)
 	}
 	var matches []*cond.Formula
+	var eqBuf [8]*cond.Formula
 	for _, idx := range idxs {
 		tp := rel.Tuple(idx)
-		eqs := make([]*cond.Formula, 0, len(pattern)+1)
+		eqs := eqBuf[:0]
 		possible := true
 		for i, pv := range pattern {
 			tv := tp.Values[i]
 			if pv.IsConst() && tv.IsConst() {
-				if !pv.Equal(tv) {
+				if pv != tv {
 					possible = false
 					break
 				}
 				continue
 			}
-			if pv.Equal(tv) {
+			if pv == tv {
 				continue
 			}
 			eqs = append(eqs, cond.Compare(pv, cond.Eq, tv))
@@ -1124,8 +1131,8 @@ func (e *engine) negationCondition(a Atom, bind map[string]cond.Term) (*cond.For
 // and inserts the tuple. It is the sequential composition of the two
 // halves the parallel engine runs on different sides of its round
 // barrier: prepareEmit (worker-safe) and commit (serial).
-func (e *engine) emit(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source, sink func(string, ctable.Tuple)) error {
-	p, live, err := e.prepareEmit(r, bind, conds, srcs)
+func (e *engine) emit(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source, sink func(string, ctable.Tuple)) error {
+	p, live, err := e.prepareEmit(r, vals, conds, srcs)
 	if err != nil {
 		return err
 	}
@@ -1147,8 +1154,8 @@ type prepared struct {
 	// source tuple's already-decided condition, which this round
 	// extended by a few atoms. The solver replays base's certificate
 	// (unsat verdict or satisfying witness) before searching cond.
-	base *cond.Formula
-	key  ctable.TupleID
+	base    *cond.Formula
+	key     ctable.TupleID
 	dataKey [2]uint64 // data-part hash, for absorption grouping
 	ruleStr string    // set when tracing or recording provenance
 	srcs    []Source  // copied, set when tracing or recording provenance
@@ -1162,17 +1169,30 @@ type prepared struct {
 // configuration and charges the (concurrency-safe) budget. live=false
 // with a nil error reports a syntactically false condition — the
 // caller owns counting the prune so workers can defer it to the merge.
-func (e *engine) prepareEmit(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source) (prepared, bool, error) {
-	all := append([]*cond.Formula(nil), conds...)
-	for _, c := range r.Comps {
-		f, err := instantiateComparison(c, bind)
+func (e *engine) prepareEmit(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source) (prepared, bool, error) {
+	// The conjuncts: body conditions, then the comparisons and the head
+	// condition (instantiated here unless they use no program variable,
+	// in which case compileRule built them once). A small list lives on
+	// the stack; a longer one takes one exactly-sized allocation.
+	n := len(conds) + len(r.comps)
+	if r.headCond != nil {
+		n++
+	}
+	var buf [8]*cond.Formula
+	all := buf[:0]
+	if n > len(buf) {
+		all = make([]*cond.Formula, 0, n)
+	}
+	all = append(all, conds...)
+	for i := range r.comps {
+		f, err := r.comps[i].instantiate(vals)
 		if err != nil {
 			return prepared{}, false, err
 		}
 		all = append(all, f)
 	}
-	if r.HeadCond != nil {
-		f, err := r.HeadCond.instantiate(bind)
+	if r.headCond != nil {
+		f, err := r.headCond.instantiate(vals)
 		if err != nil {
 			return prepared{}, false, err
 		}
@@ -1182,7 +1202,8 @@ func (e *engine) prepareEmit(r Rule, bind map[string]cond.Term, conds []*cond.Fo
 	if condition.IsFalse() {
 		return prepared{}, false, nil
 	}
-	if err := e.bud.CheckCond(condition.NAtoms(), "derived condition for "+r.Head.Pred); err != nil {
+	pred := r.src.Head.Pred
+	if err := e.bud.CheckCond(condition.NAtoms(), "derived condition for ", pred); err != nil {
 		return prepared{}, false, err
 	}
 	// Incremental-solver base: the largest conjunct, typically a source
@@ -1198,23 +1219,20 @@ func (e *engine) prepareEmit(r Rule, bind map[string]cond.Term, conds []*cond.Fo
 	if base != nil && (base == condition || base.NAtoms() == 0) {
 		base = nil
 	}
-	values := make([]cond.Term, len(r.Head.Args))
-	for i, t := range r.Head.Args {
-		switch t.Kind {
-		case TVar:
-			b, ok := bind[t.Name]
-			if !ok {
-				return prepared{}, false, fmt.Errorf("faurelog: unbound head variable %s in %v", t.Name, r)
-			}
-			values[i] = b
-		default:
-			values[i] = t.Symbol()
+	// Every head variable is bound: rules are validated safe, so each
+	// occurs in a positive literal, and all of those have matched.
+	values := make([]cond.Term, len(r.head))
+	for i, t := range r.head {
+		if t.kind == TVar {
+			values[i] = vals[t.slot]
+		} else {
+			values[i] = t.sym
 		}
 	}
 	tp := ctable.NewTuple(values, condition)
 	d := tp.DataHash()
 	p := prepared{
-		pred:    r.Head.Pred,
+		pred:    pred,
 		tp:      tp,
 		cond:    condition,
 		base:    base,
@@ -1222,7 +1240,7 @@ func (e *engine) prepareEmit(r Rule, bind map[string]cond.Term, conds []*cond.Fo
 		dataKey: d,
 	}
 	if e.needSrcs {
-		p.ruleStr = r.String()
+		p.ruleStr = r.str
 		p.srcs = make([]Source, len(srcs))
 		copy(p.srcs, srcs)
 	}
@@ -1279,7 +1297,7 @@ func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable
 		byData[p.dataKey] = append(byData[p.dataKey], p.cond)
 	}
 
-	if err := e.bud.AddTuples(1, "derived relation "+p.pred); err != nil {
+	if err := e.bud.AddTuples(1, "derived relation ", p.pred); err != nil {
 		return err
 	}
 	e.pending = append(e.pending, pendingInsert{pred: p.pred, tp: p.tp})
@@ -1365,17 +1383,9 @@ func (e *engine) finalPrune() error {
 				return err
 			}
 		}
-		e.replaceRel(pred, kept)
+		e.store.Replace(pred, kept)
 	}
 	return nil
-}
-
-func (e *engine) replaceRel(pred string, rel *relstore.Relation) {
-	// Store has no delete; Ensure then overwrite via a fresh map would
-	// complicate the API, so we rebuild through reflection-free means:
-	// relstore exposes Ensure which returns the existing relation, so
-	// swap by rebuilding the store entry.
-	e.store.Replace(pred, rel)
 }
 
 func (e *engine) result() (*Result, error) {

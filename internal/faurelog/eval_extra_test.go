@@ -273,18 +273,17 @@ func TestConditionKeysStableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestReorderBodyMapping exercises the delta-index remapping.
+// TestReorderBodyMapping: compilation stores the body positives-first
+// (stable within each group), so the delta literal r(x), written at
+// index 1, is the first positive and every negation comes last.
 func TestReorderBodyMapping(t *testing.T) {
-	r := MustParse(`q(x) :- not s(x), r(x), t(x).`).Rules[0]
-	body, mapped := reorderBody(r, 1) // delta on r(x), originally index 1
-	if body == nil {
-		t.Fatalf("expected reordering")
+	r := compileRule(MustParse(`q(x) :- not s(x), r(x), t(x).`).Rules[0])
+	var got []string
+	for _, a := range r.body {
+		got = append(got, a.String())
 	}
-	if body[mapped].Pred != "r" {
-		t.Errorf("delta literal remapped to %v", body[mapped])
-	}
-	if !body[len(body)-1].Neg {
-		t.Errorf("negation should be last: %v", body)
+	if want := "r(x) t(x) not s(x)"; strings.Join(got, " ") != want {
+		t.Errorf("compiled body = %v, want %s", got, want)
 	}
 }
 

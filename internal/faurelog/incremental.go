@@ -158,16 +158,7 @@ seedLoop:
 	pending := seedDelta
 	if runErr == nil {
 		for si, preds := range strata {
-			inStratum := map[string]bool{}
-			for _, pr := range preds {
-				inStratum[pr] = true
-			}
-			var rules []Rule
-			for _, r := range e.prog.Rules {
-				if inStratum[r.Head.Pred] {
-					rules = append(rules, r)
-				}
-			}
+			rules, _ := e.stratumRules(preds)
 			newHere, err := e.propagate(rules, pending, evalSpan, si)
 			if err != nil {
 				runErr = err
@@ -229,9 +220,9 @@ seedLoop:
 // from the given deltas (over any predicate, not just the recursive
 // ones) and returning the tuples newly derived for this stratum's
 // heads.
-func (e *engine) propagate(rules []Rule, seed delta, evalSpan obs.Span, stratum int) (delta, error) {
+func (e *engine) propagate(rules []*crule, seed delta, evalSpan obs.Span, stratum int) (delta, error) {
 	for _, r := range rules {
-		e.store.Ensure(r.Head.Pred, len(r.Head.Args))
+		e.store.Ensure(r.src.Head.Pred, len(r.head))
 	}
 	produced := delta{}
 	cur := seed
@@ -247,7 +238,7 @@ func (e *engine) propagate(rules []Rule, seed delta, evalSpan obs.Span, stratum 
 		}
 		var units []unit
 		for _, r := range rules {
-			for i, a := range r.Body {
+			for i, a := range r.body {
 				d := cur[a.Pred]
 				if len(d) == 0 {
 					continue

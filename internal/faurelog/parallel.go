@@ -46,7 +46,7 @@ import (
 // explicit tuple slice. The concatenation of the units' emissions in
 // unit order equals the sequential engine's emission order.
 type unit struct {
-	r        Rule
+	r        *crule
 	deltaIdx int
 	delta    []ctable.Tuple
 }
@@ -92,7 +92,7 @@ func (e *engine) chunkSize(n int) int {
 	return size
 }
 
-func appendChunks(out []unit, r Rule, idx int, tuples []ctable.Tuple, size int) []unit {
+func appendChunks(out []unit, r *crule, idx int, tuples []ctable.Tuple, size int) []unit {
 	for start := 0; start < len(tuples); start += size {
 		end := min(start+size, len(tuples))
 		out = append(out, unit{r: r, deltaIdx: idx, delta: tuples[start:end]})
@@ -112,45 +112,38 @@ func (e *engine) splitUnits(units []unit) []unit {
 			out = appendChunks(out, u.r, u.deltaIdx, u.delta, e.chunkSize(len(u.delta)))
 			continue
 		}
-		fi, tuples, ok := e.roundZeroSeed(u.r)
+		tuples, ok := e.roundZeroSeed(u.r)
 		if !ok {
 			out = append(out, u)
 			continue
 		}
 		// An empty candidate list means the sequential join would emit
 		// nothing for this rule; drop it rather than schedule a no-op.
-		out = appendChunks(out, u.r, fi, tuples, e.chunkSize(len(tuples)))
+		out = appendChunks(out, u.r, 0, tuples, e.chunkSize(len(tuples)))
 	}
 	return out
 }
 
 // roundZeroSeed finds the body literal a full rule application visits
-// first — the first positive literal, which reorderBody keeps stable
-// at position zero — and materialises its candidate list in exactly
+// first — the first positive literal, at position zero of the compiled
+// positives-first body — and materialises its candidate list in exactly
 // the order the sequential join would, so chunking it as a delta is
 // emission-order neutral. ok=false means the rule cannot be chunked
 // (empty or all-negative body) and must run whole.
-func (e *engine) roundZeroSeed(r Rule) (int, []ctable.Tuple, bool) {
-	fi := -1
-	for i, a := range r.Body {
-		if !a.Neg {
-			fi = i
-			break
-		}
+func (e *engine) roundZeroSeed(r *crule) ([]ctable.Tuple, bool) {
+	if len(r.body) == 0 || r.body[0].Neg {
+		return nil, false
 	}
-	if fi < 0 {
-		return 0, nil, false
-	}
-	rel := e.store.Rel(r.Body[fi].Pred)
+	rel := e.store.Rel(r.body[0].Pred)
 	if rel == nil {
-		return fi, nil, true // no relation: the rule derives nothing this round
+		return nil, true // no relation: the rule derives nothing this round
 	}
-	idxs := e.candidateIdxs(rel, r.Body[fi], map[string]cond.Term{})
+	idxs := e.candidateIdxs(rel, &r.body[0], newBinding(r.nvars))
 	tuples := make([]ctable.Tuple, len(idxs))
 	for i, idx := range idxs {
 		tuples[i] = rel.Tuple(idx)
 	}
-	return fi, tuples, true
+	return tuples, true
 }
 
 // runRoundParallel is the worker-pool counterpart of runRoundSeq.
@@ -219,8 +212,8 @@ func (e *engine) runRoundParallel(units []unit, sink func(string, ctable.Tuple),
 // concurrency-safe budget, and the worker's own solver.
 func (e *engine) runUnit(w *evalWorker, u unit, ur *unitResult) {
 	var localSeen map[ctable.TupleID]struct{}
-	emit := func(r Rule, bind map[string]cond.Term, conds []*cond.Formula, srcs []Source) error {
-		p, live, err := e.prepareEmit(r, bind, conds, srcs)
+	emit := func(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source) error {
+		p, live, err := e.prepareEmit(r, vals, conds, srcs)
 		if err != nil {
 			return err
 		}

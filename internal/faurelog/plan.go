@@ -47,6 +47,7 @@ package faurelog
 // counters (pruned, sat calls, probes) may differ.
 
 import (
+	"slices"
 	"sort"
 
 	"faure/internal/cond"
@@ -60,16 +61,16 @@ import (
 // It returns the canonical slot indexes in execution order and whether
 // that differs from the written order. Ties keep the lowest slot, so
 // the plan is deterministic for a given frozen store.
-func (e *engine) planPositives(canon Rule, deltaIdx, nPos int) ([]int, bool) {
+func (e *engine) planPositives(canon *crule, deltaIdx, nPos int) ([]int, bool) {
 	order := make([]int, 0, nPos)
-	bound := map[string]bool{}
+	bound := make([]bool, canon.nvars)
 	used := make([]bool, nPos)
 	take := func(slot int) {
 		used[slot] = true
 		order = append(order, slot)
-		for _, t := range canon.Body[slot].Args {
-			if t.Kind == TVar {
-				bound[t.Name] = true
+		for _, t := range canon.body[slot].args {
+			if t.kind == TVar {
+				bound[t.slot] = true
 			}
 		}
 	}
@@ -82,7 +83,7 @@ func (e *engine) planPositives(canon Rule, deltaIdx, nPos int) ([]int, bool) {
 			if used[s] {
 				continue
 			}
-			c := e.estimateLiteral(canon.Body[s], bound)
+			c := e.estimateLiteral(&canon.body[s], bound)
 			if best < 0 || c < bestCost {
 				best, bestCost = s, c
 			}
@@ -98,23 +99,23 @@ func (e *engine) planPositives(canon Rule, deltaIdx, nPos int) ([]int, bool) {
 }
 
 // estimateLiteral estimates how many candidate tuples the store serves
-// for one positive literal given the variables bound so far: the
+// for one positive literal given the variable slots bound so far: the
 // relation size scaled by the selectivity of every constant-bound
 // column, multiplied under an independence assumption. Per column, the
 // expected candidates are the average constant bucket plus every
 // c-variable tuple (which survives any probe); see ColStats.
-func (e *engine) estimateLiteral(a Atom, bound map[string]bool) float64 {
+func (e *engine) estimateLiteral(a *catom, bound []bool) float64 {
 	rel := e.store.Rel(a.Pred)
 	if rel == nil || rel.Len() == 0 {
 		return 0
 	}
 	n := rel.Len()
 	cost := float64(n)
-	for col, t := range a.Args {
-		switch t.Kind {
+	for col, t := range a.args {
+		switch t.kind {
 		case TConst:
 		case TVar:
-			if !bound[t.Name] {
+			if !bound[t.slot] {
 				continue
 			}
 		default:
@@ -136,7 +137,7 @@ type plannedMatch struct {
 // plannedEmit is one replayed match awaiting written-order sorting.
 type plannedEmit struct {
 	key   []uint64
-	bind  map[string]cond.Term
+	vals  []cond.Term
 	conds []*cond.Formula
 	srcs  []Source
 }
@@ -145,38 +146,41 @@ type plannedEmit struct {
 // any realistic store index in the per-slot order key.
 const groupShift = 40
 
-// runPlanned executes one rule application under the planned literal
-// order: discovery in plan order, replay and emission in written
-// order (see the package comment's determinism argument). canon is the
-// canonicalised rule (delta literal at slot 0 when deltaIdx == 0,
+// runPlanned executes the rule application under the planned literal
+// order: discovery in plan order, replay and emission in written order
+// (see the package comment's determinism argument). x.r is the
+// canonicalised rule (delta literal at slot 0 when x.deltaIdx == 0,
 // positives before negations), order the planned permutation of the
 // first nPos slots.
-func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple, order []int, nPos int, emit emitFn) error {
+func (x *app) runPlanned(order []int, nPos int) error {
+	e, canon := x.e, x.r
 	matched := make([]plannedMatch, nPos)
 	var buf []plannedEmit
-	bind := map[string]cond.Term{}
+	// The replay rebinds from scratch in written order, in its own
+	// binding; each buffered emission keeps a copy of its slot values.
+	rb := newBinding(canon.nvars)
 
 	replay := func() error {
-		bind2 := make(map[string]cond.Term, len(bind))
-		conds := make([]*cond.Formula, 0, len(canon.Body)+len(canon.Comps)+1)
+		rb.undo(0)
+		conds := x.newConds()
 		var srcs []Source
 		if e.needSrcs {
-			srcs = make([]Source, 0, len(canon.Body))
+			srcs = make([]Source, 0, len(canon.body))
 		}
 		key := make([]uint64, nPos)
 		for slot := 0; slot < nPos; slot++ {
-			a := canon.Body[slot]
+			a := &canon.body[slot]
 			m := matched[slot]
-			if slot == 0 && deltaIdx == 0 {
+			if slot == 0 && x.deltaIdx == 0 {
 				key[slot] = uint64(m.idx)
 			} else {
 				var g uint64
-				if col := e.noPlanProbeCol(a, bind2); col >= 0 && m.tp.Values[col].IsCVar() {
+				if col := e.noPlanProbeCol(a, rb); col >= 0 && m.tp.Values[col].IsCVar() {
 					g = 1
 				}
 				key[slot] = g<<groupShift | uint64(m.idx)
 			}
-			extra, _, ok := e.matchAtom(a, m.tp, bind2)
+			extra, ok := matchAtom(a, m.tp, rb)
 			if !ok {
 				// The written-order matcher rejects this combination (two
 				// constants claimed the same variable); neither executor
@@ -191,8 +195,9 @@ func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple
 				srcs = append(srcs, Source{Pred: a.Pred, Tuple: m.tp})
 			}
 		}
-		for _, a := range canon.Body[nPos:] {
-			f, pattern, err := e.negationCondition(a, bind2)
+		for i := nPos; i < len(canon.body); i++ {
+			a := &canon.body[i]
+			f, pattern, err := e.negationCondition(a, rb)
 			if err != nil {
 				return err
 			}
@@ -204,7 +209,7 @@ func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple
 			}
 			conds = append(conds, f)
 		}
-		buf = append(buf, plannedEmit{key: key, bind: bind2, conds: conds, srcs: srcs})
+		buf = append(buf, plannedEmit{key: key, vals: slices.Clone(rb.vals), conds: conds, srcs: srcs})
 		return nil
 	}
 
@@ -214,23 +219,19 @@ func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple
 			return replay()
 		}
 		slot := order[k]
-		a := canon.Body[slot]
+		a := &canon.body[slot]
 		try := func(tp ctable.Tuple, idx int) error {
-			undo, ok := matchLite(a, tp, bind)
-			if !ok {
+			mark := x.b.mark()
+			if !matchLite(a, tp, x.b) {
 				return nil
 			}
 			matched[slot] = plannedMatch{tp: tp, idx: idx}
-			if err := dfs(k + 1); err != nil {
-				return err
-			}
-			for _, v := range undo {
-				delete(bind, v)
-			}
-			return nil
+			err := dfs(k + 1)
+			x.b.undo(mark)
+			return err
 		}
-		if slot == 0 && deltaIdx == 0 {
-			for pos, tp := range deltaTuples {
+		if slot == 0 && x.deltaIdx == 0 {
+			for pos, tp := range x.delta {
 				if err := try(tp, pos); err != nil {
 					return err
 				}
@@ -241,7 +242,7 @@ func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple
 		if rel == nil {
 			return nil
 		}
-		for _, idx := range e.plannedCandidates(rel, a, bind) {
+		for _, idx := range e.plannedCandidates(rel, a, x.b) {
 			if err := try(rel.Tuple(idx), idx); err != nil {
 				return err
 			}
@@ -262,7 +263,7 @@ func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple
 		return false
 	})
 	for i := range buf {
-		if err := emit(canon, buf[i].bind, buf[i].conds, buf[i].srcs); err != nil {
+		if err := x.emit(canon, buf[i].vals, buf[i].conds, buf[i].srcs); err != nil {
 			return err
 		}
 	}
@@ -273,21 +274,22 @@ func (e *engine) runPlanned(canon Rule, deltaIdx int, deltaTuples []ctable.Tuple
 // discovery, intersecting the candidate lists of every constant-bound
 // column. Unlike the written-order candidateIdxs, the result order
 // does not matter here: the replay sort restores written order.
-func (e *engine) plannedCandidates(rel *relstore.Relation, a Atom, bind map[string]cond.Term) []int {
+func (e *engine) plannedCandidates(rel *relstore.Relation, a *catom, b *binding) []int {
 	if e.opts.NoIndex {
 		return rel.All()
 	}
-	var cols []int
-	var keys []cond.Term
-	for col, t := range a.Args {
-		switch t.Kind {
+	var colBuf [8]int
+	var keyBuf [8]cond.Term
+	cols, keys := colBuf[:0], keyBuf[:0]
+	for col, t := range a.args {
+		switch t.kind {
 		case TConst:
 			cols = append(cols, col)
-			keys = append(keys, t.Const)
+			keys = append(keys, t.sym)
 		case TVar:
-			if b, ok := bind[t.Name]; ok && !b.IsCVar() {
+			if b.bound[t.slot] && !b.vals[t.slot].IsCVar() {
 				cols = append(cols, col)
-				keys = append(keys, b)
+				keys = append(keys, b.vals[t.slot])
 			}
 		}
 	}
@@ -305,16 +307,16 @@ func (e *engine) plannedCandidates(rel *relstore.Relation, a Atom, bind map[stri
 // would probe for this literal under the given bindings, or -1 for a
 // full scan — the same first-usable-column rule, evaluated against the
 // canonical binding state the replay maintains.
-func (e *engine) noPlanProbeCol(a Atom, bind map[string]cond.Term) int {
+func (e *engine) noPlanProbeCol(a *catom, b *binding) int {
 	if e.opts.NoIndex {
 		return -1
 	}
-	for col, t := range a.Args {
-		switch t.Kind {
+	for col, t := range a.args {
+		switch t.kind {
 		case TConst:
 			return col
 		case TVar:
-			if b, ok := bind[t.Name]; ok && !b.IsCVar() {
+			if b.bound[t.slot] && !b.vals[t.slot].IsCVar() {
 				return col
 			}
 		}
@@ -325,33 +327,28 @@ func (e *engine) noPlanProbeCol(a Atom, bind map[string]cond.Term) int {
 // matchLite is the discovery-time matcher: it binds variables and
 // rejects syntactically impossible combinations (constant against a
 // different constant) without building condition formulas — the
-// written-order replay rebuilds those. On failure it rolls back its
-// own bindings; on success the caller owns the returned undo list.
-func matchLite(a Atom, tp ctable.Tuple, bind map[string]cond.Term) ([]string, bool) {
-	var undo []string
-	for i, t := range a.Args {
+// written-order replay rebuilds those. On failure it unbinds what it
+// bound; on success the caller undoes the bindings when it backtracks.
+func matchLite(a *catom, tp ctable.Tuple, b *binding) bool {
+	mark := b.mark()
+	for i, t := range a.args {
 		v := tp.Values[i]
-		switch t.Kind {
+		switch t.kind {
 		case TConst:
-			if v.IsConst() && !t.Const.Equal(v) {
-				for _, u := range undo {
-					delete(bind, u)
-				}
-				return nil, false
+			if v.IsConst() && t.sym != v {
+				b.undo(mark)
+				return false
 			}
 		case TVar:
-			if b, ok := bind[t.Name]; ok {
-				if b.IsConst() && v.IsConst() && !b.Equal(v) {
-					for _, u := range undo {
-						delete(bind, u)
-					}
-					return nil, false
+			if b.bound[t.slot] {
+				if bv := b.vals[t.slot]; bv.IsConst() && v.IsConst() && bv != v {
+					b.undo(mark)
+					return false
 				}
 				continue
 			}
-			bind[t.Name] = v
-			undo = append(undo, t.Name)
+			b.set(t.slot, v)
 		}
 	}
-	return undo, true
+	return true
 }

@@ -209,7 +209,7 @@ func (ex *executor) insert(table string, rel *relstore.Relation, tp ctable.Tuple
 	if rel.HasIdentity(tp) {
 		return nil
 	}
-	if err := ex.bud.AddTuples(1, "table "+table); err != nil {
+	if err := ex.bud.AddTuples(1, "table ", table); err != nil {
 		return err
 	}
 	if err := rel.Insert(tp); err != nil {

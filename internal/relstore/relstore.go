@@ -6,18 +6,32 @@
 // match any constant subject to a condition, so every constant probe
 // must also consider them).
 //
-// Concurrency contract: reads (Rel, Tuple, All, Candidates, Len) are
-// safe from any number of goroutines as long as no goroutine mutates
-// the store concurrently (Insert, Ensure, Replace). The parallel
-// evaluation engine relies on exactly this phased discipline — workers
-// read a frozen store during a round, the coordinator writes only at
-// iteration barriers. The probe/scan counters are atomic so concurrent
-// readers do not race on them.
+// Column indexes are keyed by the cond.Term itself — a comparable
+// value, so a probe hashes the term in place and renders nothing — and
+// are built lazily: a column is indexed the first time something probes
+// it (Candidates, CandidatesMulti) or reads its statistics (ColStats).
+// Loading a database therefore costs one pass over its tuples, and a
+// column no query ever probes is never indexed. Once built, a column's
+// index is maintained by every later Insert, so its buckets stay in
+// increasing store-index order either way.
+//
+// Concurrency contract: reads (Rel, Tuple, All, Candidates,
+// CandidatesMulti, ColStats, Len) are safe from any number of
+// goroutines as long as no goroutine mutates the store concurrently
+// (Insert, Ensure, Replace, TrackIdentity). The lazy build is part of
+// the read side: concurrent first probes of one column serialise on
+// that column's mutex, exactly one of them builds the index, and the
+// others then read the published result. The parallel evaluation engine
+// relies on exactly this phased discipline — workers read a frozen store
+// during a round, the coordinator writes only at iteration barriers.
+// The probe/scan counters are atomic so concurrent readers do not race
+// on them.
 package relstore
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"faure/internal/cond"
@@ -30,11 +44,8 @@ type Relation struct {
 	Name   string
 	Arity  int
 	tuples []ctable.Tuple
-	// colConst[c][key] lists tuple indexes whose value at column c is
-	// the constant with that key; colCVar[c] lists tuple indexes whose
-	// value at column c is a c-variable.
-	colConst []map[string][]int
-	colCVar  [][]int
+	// cols[c] is column c's index, built on first probe (see column).
+	cols []column
 
 	// ids is the optional exact-duplicate index over tuple identities
 	// (data hash + interned condition id); enabled by TrackIdentity.
@@ -53,6 +64,49 @@ type Relation struct {
 	scans         atomic.Int64 // deliberate full scans served (All)
 	fallbacks     atomic.Int64 // probes that fell back to a full scan
 	intersections atomic.Int64 // column candidate lists intersected beyond the first
+}
+
+// column is one column's index. consts maps each constant to the
+// indexes of the tuples holding it at this column; cvars lists the
+// tuples holding a c-variable there. Both lists are in increasing
+// store-index order. The index is built on first use: built is set,
+// under mu, only after consts and cvars are complete, so a reader that
+// sees it set reads a finished index without taking the lock.
+type column struct {
+	built  atomic.Bool
+	mu     sync.Mutex
+	consts map[cond.Term][]int
+	cvars  []int
+}
+
+// col returns column c's index, building it on first use.
+func (r *Relation) col(c int) *column {
+	ci := &r.cols[c]
+	if !ci.built.Load() {
+		ci.build(r.tuples, c)
+	}
+	return ci
+}
+
+// build indexes column c of tuples unless a concurrent reader already
+// did.
+func (ci *column) build(tuples []ctable.Tuple, c int) {
+	ci.mu.Lock()
+	defer ci.mu.Unlock()
+	if ci.built.Load() {
+		return
+	}
+	consts := map[cond.Term][]int{}
+	var cvars []int
+	for i, tp := range tuples {
+		if v := tp.Values[c]; v.IsCVar() {
+			cvars = append(cvars, i)
+		} else {
+			consts[v] = append(consts[v], i)
+		}
+	}
+	ci.consts, ci.cvars = consts, cvars
+	ci.built.Store(true)
 }
 
 // Counters is a snapshot of a relation's (or a whole store's) index
@@ -129,27 +183,22 @@ func (r *Relation) ScanCount() int64 { return r.scans.Load() }
 
 // NewRelation returns an empty indexed relation.
 func NewRelation(name string, arity int) *Relation {
-	r := &Relation{Name: name, Arity: arity}
-	r.colConst = make([]map[string][]int, arity)
-	r.colCVar = make([][]int, arity)
-	for i := range r.colConst {
-		r.colConst[i] = map[string][]int{}
-	}
-	return r
+	return &Relation{Name: name, Arity: arity, cols: make([]column, arity)}
 }
 
-// FromTable indexes an existing c-table.
+// FromTable loads an existing c-table. Its columns are indexed on first
+// probe, not here.
 func FromTable(t *ctable.Table) *Relation {
 	r := NewRelation(t.Schema.Name, t.Schema.Arity())
+	r.tuples = make([]ctable.Tuple, 0, len(t.Tuples))
 	for _, tp := range t.Tuples {
 		r.Insert(tp)
 	}
 	return r
 }
 
-func constKey(t cond.Term) string { return t.String() }
-
-// Insert adds a tuple and indexes its columns.
+// Insert adds a tuple and extends the indexes of the columns already
+// built.
 func (r *Relation) Insert(tp ctable.Tuple) error {
 	if faultinject.Armed() {
 		if err := faultinject.Fire(faultinject.RelstoreInsert); err != nil {
@@ -164,12 +213,15 @@ func (r *Relation) Insert(tp ctable.Tuple) error {
 	if r.ids != nil {
 		r.ids[tp.Identity()] = struct{}{}
 	}
-	for c, v := range tp.Values {
-		if v.IsCVar() {
-			r.colCVar[c] = append(r.colCVar[c], idx)
+	for c := range r.cols {
+		ci := &r.cols[c]
+		if !ci.built.Load() {
+			continue
+		}
+		if v := tp.Values[c]; v.IsCVar() {
+			ci.cvars = append(ci.cvars, idx)
 		} else {
-			k := constKey(v)
-			r.colConst[c][k] = append(r.colConst[c][k], idx)
+			ci.consts[v] = append(ci.consts[v], idx)
 		}
 	}
 	return nil
@@ -198,9 +250,12 @@ func (r *Relation) allIdxs() []int {
 }
 
 // Candidates returns the indexes of tuples that could match the given
-// constant at the given column: the indexed constant bucket plus every
-// tuple holding a c-variable there (such a tuple matches when its
-// condition admits cvar = key).
+// constant at the given column: the constant's bucket plus every tuple
+// holding a c-variable there (such a tuple matches when its condition
+// admits cvar = key), in that order. The first probe of a column builds
+// its index (safe under concurrent readers, see the package comment);
+// later probes hash the key term and allocate nothing unless both
+// lists are non-empty.
 //
 // Aliasing contract: when the column has only a constant bucket or only
 // c-variable entries, the returned slice ALIASES internal index storage
@@ -212,8 +267,9 @@ func (r *Relation) Candidates(col int, key cond.Term) []int {
 		return r.allIdxs()
 	}
 	r.probes.Add(1)
-	consts := r.colConst[col][constKey(key)]
-	cvars := r.colCVar[col]
+	ci := r.col(col)
+	consts := ci.consts[key]
+	cvars := ci.cvars
 	if len(cvars) == 0 {
 		return consts
 	}
@@ -227,8 +283,9 @@ func (r *Relation) Candidates(col int, key cond.Term) []int {
 }
 
 // ColStats are the planner-facing per-column statistics: how selective
-// a constant probe on this column is expected to be. All figures are
-// maintained incrementally by Insert, so reading them is O(1).
+// a constant probe on this column is expected to be. They are read off
+// the column's index, so the first read builds it (as a first probe
+// would) and every later read is O(1).
 type ColStats struct {
 	Distinct int // distinct constant values indexed at this column
 	CVars    int // tuples holding a c-variable at this column
@@ -246,13 +303,15 @@ func (cs ColStats) EstCandidates(n int) float64 {
 	return est
 }
 
-// ColStats returns the statistics for one column; the zero value for an
-// out-of-range column.
+// ColStats returns the statistics for one column, building its index on
+// first use; the zero value for an out-of-range column. Safe under
+// concurrent readers like Candidates.
 func (r *Relation) ColStats(col int) ColStats {
 	if col < 0 || col >= r.Arity {
 		return ColStats{}
 	}
-	return ColStats{Distinct: len(r.colConst[col]), CVars: len(r.colCVar[col])}
+	ci := r.col(col)
+	return ColStats{Distinct: len(ci.consts), CVars: len(ci.cvars)}
 }
 
 // CandidatesMulti intersects the candidate lists of several
@@ -272,8 +331,9 @@ func (r *Relation) CandidatesMulti(cols []int, keys []cond.Term) []int {
 		if i >= len(keys) || keys[i].IsCVar() || col < 0 || col >= r.Arity {
 			continue
 		}
-		consts := r.colConst[col][constKey(keys[i])]
-		cvars := r.colCVar[col]
+		ci := r.col(col)
+		consts := ci.consts[keys[i]]
+		cvars := ci.cvars
 		var l []int
 		switch {
 		case len(cvars) == 0:

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"sync"
 	"testing"
 
 	"faure/internal/cond"
@@ -167,9 +168,9 @@ func TestCandidatesMultiVsBruteForce(t *testing.T) {
 		{[]int{0, 1}, []cond.Term{cond.Int(1), cond.Int(2)}},
 		{[]int{0, 1, 2}, []cond.Term{cond.Int(0), cond.Int(1), cond.Int(2)}},
 		{[]int{2, 0}, []cond.Term{cond.Int(2), cond.Int(0)}},
-		{[]int{0, 1}, []cond.Term{cond.Int(1), cond.Int(99)}},           // empty const bucket
-		{[]int{0, 1}, []cond.Term{cond.CVar("z"), cond.Int(1)}},         // col 0 unusable
-		{[]int{0, 1}, []cond.Term{cond.CVar("z"), cond.CVar("w")}},      // all unusable: fallback
+		{[]int{0, 1}, []cond.Term{cond.Int(1), cond.Int(99)}},                 // empty const bucket
+		{[]int{0, 1}, []cond.Term{cond.CVar("z"), cond.Int(1)}},               // col 0 unusable
+		{[]int{0, 1}, []cond.Term{cond.CVar("z"), cond.CVar("w")}},            // all unusable: fallback
 		{[]int{-1, 9, 1}, []cond.Term{cond.Int(1), cond.Int(1), cond.Int(2)}}, // bad cols skipped
 	}
 	for ci, tc := range cases {
@@ -310,5 +311,157 @@ func TestEnsureAndReplace(t *testing.T) {
 	s.Replace("r", nr)
 	if s.Rel("r") != nr {
 		t.Errorf("Replace did not swap the relation")
+	}
+}
+
+// TestCandidatesBuiltColumnNoAllocs locks in the Term-keyed probe: once
+// a column's index is built, a probe that returns one bucket hashes the
+// key term in place and allocates nothing.
+func TestCandidatesBuiltColumnNoAllocs(t *testing.T) {
+	r := sampleRelation(t)
+	r.Candidates(1, cond.Int(9)) // builds column 1
+	key := cond.Int(9)
+	if n := testing.AllocsPerRun(100, func() { r.Candidates(1, key) }); n != 0 {
+		t.Errorf("Candidates on a built column allocates %v times, want 0", n)
+	}
+}
+
+// lazyFixture is a relation with repeated constants and c-variables in
+// every column, none of whose indexes is built yet.
+func lazyFixture(t *testing.T, n int) *Relation {
+	t.Helper()
+	r := NewRelation("lazy", 3)
+	for i := 0; i < n; i++ {
+		vs := []cond.Term{cond.Int(int64(i % 7)), cond.Str([]string{"A", "B", "C"}[i%3]), cond.Int(int64(i % 11))}
+		if i%5 == 0 {
+			vs[i%3] = cond.CVar("x")
+		}
+		if err := r.Insert(ctable.NewTuple(vs, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// bruteCandidates is Candidates' reference semantics: the tuples holding
+// key at col, then those holding a c-variable there, each group in
+// store-index order.
+func bruteCandidates(r *Relation, col int, key cond.Term) []int {
+	var consts, cvars []int
+	for i := 0; i < r.Len(); i++ {
+		switch v := r.Tuple(i).Values[col]; {
+		case v.IsCVar():
+			cvars = append(cvars, i)
+		case v == key:
+			consts = append(consts, i)
+		}
+	}
+	return append(consts, cvars...)
+}
+
+func sameInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLazyIndexConcurrent: goroutines racing to make the first probes
+// of unbuilt columns, and to read their statistics, all see exactly
+// what a serial probe and a brute-force scan see; Inserts after the
+// build keep every bucket in store-index order.
+func TestLazyIndexConcurrent(t *testing.T) {
+	keys := []cond.Term{cond.Int(3), cond.Str("B"), cond.Int(5)}
+	serial := lazyFixture(t, 200)
+	var want [3][]int
+	var wantStats [3]ColStats
+	for col, k := range keys {
+		want[col] = append([]int(nil), serial.Candidates(col, k)...)
+		wantStats[col] = serial.ColStats(col)
+		if brute := bruteCandidates(serial, col, k); !sameInts(want[col], brute) {
+			t.Fatalf("serial Candidates(%d, %v) = %v, brute force %v", col, k, want[col], brute)
+		}
+	}
+
+	r := lazyFixture(t, 200)
+	const workers = 8
+	got := make([][3][]int, workers)
+	gotStats := make([][3]ColStats, workers)
+	multi := make([][]int, workers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := range keys {
+				// Workers visit the columns in different orders so first
+				// probes of every column collide with stats reads.
+				col := (i + w) % len(keys)
+				if w%2 == 0 {
+					gotStats[w][col] = r.ColStats(col)
+					got[w][col] = append([]int(nil), r.Candidates(col, keys[col])...)
+				} else {
+					got[w][col] = append([]int(nil), r.Candidates(col, keys[col])...)
+					gotStats[w][col] = r.ColStats(col)
+				}
+			}
+			multi[w] = r.CandidatesMulti([]int{0, 2}, []cond.Term{keys[0], keys[2]})
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	wantMulti := multiBrute(r, []int{0, 2}, []cond.Term{keys[0], keys[2]})
+	for w := 0; w < workers; w++ {
+		for col := range keys {
+			if !sameInts(got[w][col], want[col]) {
+				t.Errorf("worker %d: Candidates(%d) = %v, want %v", w, col, got[w][col], want[col])
+			}
+			if gotStats[w][col] != wantStats[col] {
+				t.Errorf("worker %d: ColStats(%d) = %+v, want %+v", w, col, gotStats[w][col], wantStats[col])
+			}
+		}
+		if !sameInts(multi[w], wantMulti) {
+			t.Errorf("worker %d: CandidatesMulti = %v, want %v", w, multi[w], wantMulti)
+		}
+	}
+
+	// Inserts after the build extend the built indexes in store-index
+	// order, exactly as a fresh build over all the tuples would.
+	extra := []ctable.Tuple{
+		ctable.NewTuple([]cond.Term{cond.Int(3), cond.Str("B"), cond.CVar("y")}, nil),
+		ctable.NewTuple([]cond.Term{cond.CVar("z"), cond.Str("A"), cond.Int(5)}, nil),
+		ctable.NewTuple([]cond.Term{cond.Int(3), cond.CVar("w"), cond.Int(5)}, nil),
+	}
+	for _, tp := range extra {
+		if err := r.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+		if err := serial.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := NewRelation("fresh", 3)
+	for i := 0; i < r.Len(); i++ {
+		if err := fresh.Insert(r.Tuple(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for col, k := range keys {
+		brute := bruteCandidates(r, col, k)
+		for name, rel := range map[string]*Relation{"raced": r, "serial": serial, "fresh": fresh} {
+			if c := rel.Candidates(col, k); !sameInts(c, brute) {
+				t.Errorf("%s after inserts: Candidates(%d, %v) = %v, want %v", name, col, k, c, brute)
+			}
+		}
+		if r.ColStats(col) != fresh.ColStats(col) {
+			t.Errorf("ColStats(%d) after inserts = %+v, fresh build %+v", col, r.ColStats(col), fresh.ColStats(col))
+		}
 	}
 }
