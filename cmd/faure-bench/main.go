@@ -57,7 +57,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "faure-bench:", err)
 		os.Exit(obsflag.ExitError)
 	}
-	opts := faure.Options{Observer: ob.Observer(), Budget: ob.Budget(), Workers: ob.Workers(), NoPlan: ob.NoPlan()}
+	opts := faure.Options{Observer: ob.Observer(), Budget: ob.Budget(), NoPlan: ob.NoPlan()}
 	if *provCap != 0 {
 		capN := *provCap
 		if capN < 0 {
@@ -228,11 +228,6 @@ type benchWorkload struct {
 	ProvEdges   int64 `json:"prov_edges,omitempty"`
 	ProvParents int64 `json:"prov_parents,omitempty"`
 	ProvEvicted int64 `json:"prov_evicted,omitempty"`
-	// Wall1WMS and Speedup are set when the sweep ran with -parallel
-	// N>1: the same workload's single-worker wall time and the ratio
-	// wall_1w_ms / wall_ms.
-	Wall1WMS float64 `json:"wall_1w_ms,omitempty"`
-	Speedup  float64 `json:"speedup,omitempty"`
 	// WallNoPlanMS and PlanSpeedup are set on the join workload: the
 	// same run with -no-plan (written-order evaluation) and the ratio
 	// wall_noplan_ms / wall_ms.
@@ -245,9 +240,6 @@ type benchReport struct {
 	Benchmark string `json:"benchmark"`
 	Seed      int64  `json:"seed"`
 	Pool      int    `json:"pool"`
-	// Workers is the evaluation worker count the sweep ran with (the
-	// -parallel flag; 1 = sequential).
-	Workers int `json:"workers"`
 	// Truncated names the budget that cut the sweep short ("" when the
 	// sweep completed); the workloads list then holds what finished.
 	Truncated string          `json:"truncated,omitempty"`
@@ -270,18 +262,13 @@ type benchIntern struct {
 // stops the sweep, keeps the completed rows (printed and reported) and
 // surfaces as the returned budget error so main exits with code 3.
 func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, outPath string, opts faure.Options) error {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	var results []*faure.Table4Result
-	// baselines holds the matching single-worker run of each sweep
-	// entry when -parallel N>1, for the per-workload speedup columns.
-	var baselines []*faure.Table4Result
-	// joins holds the join-planner stress workload at each size: the
-	// measured run, its single-worker counterpart (when -parallel
-	// N>1), and the written-order (-no-plan) counterpart.
-	var joins []joinRun
+	// joins[i] is the join-planner stress workload sizes[i] introduced —
+	// the measured run and its written-order (-no-plan) counterpart —
+	// or nil when an earlier size already ran the same host count (see
+	// joinHosts).
+	var joins []*joinRun
+	joinSeen := map[int]bool{}
 	var truncated *faure.BudgetExceeded
 	for _, n := range sizes {
 		res, err := faure.RunTable4(faure.Table4Config{Prefixes: n, Seed: seed, PoolSize: pool, Options: opts})
@@ -293,16 +280,13 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 			truncated = res.Truncated
 			break
 		}
-		if workers > 1 {
-			seqOpts := opts
-			seqOpts.Workers = 1
-			base, err := faure.RunTable4(faure.Table4Config{Prefixes: n, Seed: seed, PoolSize: pool, Options: seqOpts})
-			if err != nil {
-				return err
-			}
-			baselines = append(baselines, base)
+		hosts := joinHosts(n)
+		if joinSeen[hosts] {
+			joins = append(joins, nil)
+			continue
 		}
-		jr, err := runJoin(n, seed, workers, opts)
+		joinSeen[hosts] = true
+		jr, err := runJoin(n, hosts, seed, opts)
 		if err != nil {
 			return err
 		}
@@ -314,23 +298,10 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 	}
 	fmt.Fprintln(w, "Table 4: running time of reachability analysis (synthetic RIB workload)")
 	fmt.Fprint(w, faure.FormatTable4(results))
-	if workers > 1 {
-		fmt.Fprintf(w, "parallel evaluation: %d workers (speedup vs 1 worker)\n", workers)
-		for i, base := range baselines {
-			for j, row := range results[i].Rows {
-				b := base.Rows[j]
-				if row.Wall > 0 {
-					fmt.Fprintf(w, "  %-6s prefixes=%-8d wall=%v wall_1w=%v speedup=%.2fx\n",
-						row.Query, results[i].Prefixes, row.Wall, b.Wall,
-						float64(b.Wall)/float64(row.Wall))
-				}
-			}
-		}
-	}
 	if len(joins) > 0 {
 		fmt.Fprintln(w, "join-stress workload (fat-tree multi-way join, cost-guided planner):")
 		for _, j := range joins {
-			if j.res == nil {
+			if j == nil {
 				continue
 			}
 			row := j.res.Row
@@ -377,7 +348,7 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 	}
 
 	if jsonOut {
-		report := buildReport(results, baselines, joins, seed, pool, workers)
+		report := buildReport(results, joins, seed, pool)
 		if truncated != nil {
 			report.Truncated = truncated.Error()
 		}
@@ -392,45 +363,35 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 	return nil
 }
 
-// joinRun is the join-stress workload at one sweep size: the measured
-// run, its single-worker counterpart (when -parallel N>1) and its
-// written-order (-no-plan) counterpart for the plan-speedup column.
+// joinRun is the join-stress workload at one host count: the sweep
+// size that first reached it, the measured run and its written-order
+// (-no-plan) counterpart for the plan-speedup column.
 type joinRun struct {
 	prefixes  int
 	res       *faure.JoinStressResult
-	base      *faure.JoinStressResult
 	noPlan    *faure.JoinStressResult
 	truncated *faure.BudgetExceeded
 }
 
-// runJoin executes the join-stress workload at one sweep size. The
-// host count tracks the prefix count, capped at 1000: the
-// written-order (-no-plan) baseline the workload exists to measure is
-// quadratic in the host count, so larger sweeps would spend the whole
-// budget in the baseline run. The printed summary reports the actual
-// host count next to the sweep size.
-func runJoin(n int, seed int64, workers int, opts faure.Options) (joinRun, error) {
-	jr := joinRun{prefixes: n}
-	hosts := n
-	if hosts > 1000 {
-		hosts = 1000
-	}
+// joinHosts is the join-stress host count for a sweep size: the prefix
+// count, capped at 1000. The written-order (-no-plan) baseline the
+// workload exists to measure is quadratic in the host count, so larger
+// sweeps would spend the whole budget in the baseline run. Sizes that
+// reach the cap share one topology, so the sweep runs it once.
+func joinHosts(prefixes int) int { return min(prefixes, 1000) }
+
+// runJoin executes the join-stress workload at one host count; the
+// printed summary reports the actual host count next to the sweep size.
+func runJoin(prefixes, hosts int, seed int64, opts faure.Options) (*joinRun, error) {
+	jr := &joinRun{prefixes: prefixes}
 	res, err := faure.RunJoinStress(faure.JoinStressConfig{Hosts: hosts, Seed: seed, Options: opts})
 	if err != nil {
-		return jr, err
+		return nil, err
 	}
 	jr.res = res
 	if res.Truncated != nil {
 		jr.truncated = res.Truncated
 		return jr, nil
-	}
-	if workers > 1 {
-		seqOpts := opts
-		seqOpts.Workers = 1
-		jr.base, err = faure.RunJoinStress(faure.JoinStressConfig{Hosts: hosts, Seed: seed, Options: seqOpts})
-		if err != nil {
-			return jr, err
-		}
 	}
 	npOpts := opts
 	npOpts.NoPlan = true
@@ -483,33 +444,18 @@ func workloadFromRow(row faure.Table4Row, prefixes int) benchWorkload {
 	}
 }
 
-// buildReport converts the sweep results into the JSON document.
-// baselines, when non-empty, holds the single-worker counterpart of
-// each result group for the speedup columns; joins holds the
-// join-stress workload at each size.
-func buildReport(results []*faure.Table4Result, baselines []*faure.Table4Result, joins []joinRun, seed int64, pool int, workers int) benchReport {
-	report := benchReport{Benchmark: "table4", Seed: seed, Pool: pool, Workers: workers}
+// buildReport converts the sweep results into the JSON document: each
+// size's Table 4 rows, followed by the join-stress run that size
+// introduced (if any).
+func buildReport(results []*faure.Table4Result, joins []*joinRun, seed int64, pool int) benchReport {
+	report := benchReport{Benchmark: "table4", Seed: seed, Pool: pool}
 	for i, res := range results {
-		for j, row := range res.Rows {
-			wl := workloadFromRow(row, res.Prefixes)
-			if i < len(baselines) && j < len(baselines[i].Rows) {
-				b := baselines[i].Rows[j]
-				wl.Wall1WMS = float64(b.Wall.Microseconds()) / 1000
-				if row.Wall > 0 {
-					wl.Speedup = float64(b.Wall) / float64(row.Wall)
-				}
-			}
-			report.Workloads = append(report.Workloads, wl)
+		for _, row := range res.Rows {
+			report.Workloads = append(report.Workloads, workloadFromRow(row, res.Prefixes))
 		}
-		if i < len(joins) && joins[i].res != nil {
+		if i < len(joins) && joins[i] != nil {
 			j := joins[i]
 			wl := workloadFromRow(j.res.Row, j.prefixes)
-			if j.base != nil {
-				wl.Wall1WMS = float64(j.base.Row.Wall.Microseconds()) / 1000
-				if j.res.Row.Wall > 0 {
-					wl.Speedup = float64(j.base.Row.Wall) / float64(j.res.Row.Wall)
-				}
-			}
 			if j.noPlan != nil {
 				wl.WallNoPlanMS = float64(j.noPlan.Row.Wall.Microseconds()) / 1000
 				if j.res.Row.Wall > 0 {

@@ -77,7 +77,7 @@ func TestRunJSONReport(t *testing.T) {
 		w.WallNoPlanMS, w.PlanSpeedup = 0, 0
 	}
 	golden := benchReport{
-		Benchmark: "table4", Seed: 1, Pool: 10, Workers: 1,
+		Benchmark: "table4", Seed: 1, Pool: 10,
 		// The incremental-solver counters are exact on purpose: every
 		// workload must show zero search-reaching decisions (certificates
 		// and the fd fast path answer everything at this scale).
@@ -263,51 +263,71 @@ func TestRunAblations(t *testing.T) {
 	}
 }
 
-// TestRunParallelReport checks the -parallel sweep: the report records
-// the worker count, each workload carries the single-worker baseline
-// and speedup columns, and the derived counts match the sequential
-// run exactly (parallel evaluation is deterministic).
-func TestRunParallelReport(t *testing.T) {
-	dir := t.TempDir()
-	seqOut := filepath.Join(dir, "seq.json")
-	parOut := filepath.Join(dir, "par.json")
+// TestJoinRunsOncePerHostCount: sweep sizes that map to the same
+// join-stress host count run the join workload once — at or above the
+// 1000-host cap every size would otherwise repeat one topology and
+// report identical counters.
+func TestJoinRunsOncePerHostCount(t *testing.T) {
+	if joinHosts(1000) != joinHosts(10000) || joinHosts(40) != 40 {
+		t.Fatalf("joinHosts: 1000->%d 10000->%d 40->%d", joinHosts(1000), joinHosts(10000), joinHosts(40))
+	}
+	out := filepath.Join(t.TempDir(), "dup.json")
 	var buf bytes.Buffer
-	if err := run(&buf, []int{40}, 1, 10, false, true, seqOut, faure.Options{}); err != nil {
+	if err := run(&buf, []int{20, 20}, 1, 10, false, true, out, faure.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&buf, []int{40}, 1, 10, false, true, parOut, faure.Options{Workers: 4}); err != nil {
+	report, err := readReport(out)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "parallel evaluation: 4 workers") {
-		t.Errorf("missing parallel summary line:\n%s", buf.String())
-	}
-	var seq, par benchReport
-	for path, into := range map[string]*benchReport{seqOut: &seq, parOut: &par} {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(raw, into); err != nil {
-			t.Fatalf("%s: %v", path, err)
+	joins := 0
+	for _, w := range report.Workloads {
+		if w.Name == "join" {
+			joins++
 		}
 	}
-	if seq.Workers != 1 || par.Workers != 4 {
-		t.Fatalf("workers fields = %d / %d, want 1 / 4", seq.Workers, par.Workers)
+	if len(report.Workloads) != 9 || joins != 1 {
+		t.Fatalf("got %d workloads with %d join runs, want 9 with 1", len(report.Workloads), joins)
 	}
-	if len(seq.Workloads) != len(par.Workloads) {
-		t.Fatalf("workload counts diverge: %d vs %d", len(seq.Workloads), len(par.Workloads))
+	if n := strings.Count(buf.String(), "  join   prefixes="); n != 1 {
+		t.Errorf("join summary printed %d times, want once:\n%s", n, buf.String())
 	}
-	for i, s := range seq.Workloads {
-		p := par.Workloads[i]
-		if s.Wall1WMS != 0 || s.Speedup != 0 {
-			t.Errorf("sequential workload %s has baseline columns set", s.Name)
+}
+
+// TestBaselineLoadsCommittedReport: the committed BENCH_faurelog.json
+// (written before the report dropped its "workers" field, and with one
+// join run per sweep size) still loads as a -baseline, and every
+// workload present in both it and a fresh-shaped report is compared.
+func TestBaselineLoadsCommittedReport(t *testing.T) {
+	base, err := readReport(filepath.Join("..", "..", "BENCH_faurelog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Benchmark != "table4" || len(base.Workloads) == 0 {
+		t.Fatalf("committed report did not load: %+v", base)
+	}
+	// A head report as the sweep now writes it — one join run in all —
+	// with every workload twice as slow in both phases, so each phase
+	// above the jitter floor must regress.
+	var head benchReport
+	seenJoin := false
+	want := 0
+	for _, w := range base.Workloads {
+		if w.Name == "join" {
+			if seenJoin {
+				continue
+			}
+			seenJoin = true
 		}
-		if p.Wall1WMS == 0 || p.Speedup == 0 {
-			t.Errorf("parallel workload %s missing baseline columns: %+v", p.Name, p)
+		for _, ms := range []float64{w.WallMS, w.SolverMS} {
+			if ms >= regressFloorMS {
+				want++
+			}
 		}
-		if s.Derived != p.Derived || s.Pruned != p.Pruned || s.Absorbed != p.Absorbed ||
-			s.Iterations != p.Iterations || s.Tuples != p.Tuples || s.AbsorbProbes != p.AbsorbProbes {
-			t.Errorf("workload %s: deterministic counters diverge:\nseq %+v\npar %+v", s.Name, s, p)
-		}
+		w.WallMS, w.SolverMS = 2*w.WallMS, 2*w.SolverMS
+		head.Workloads = append(head.Workloads, w)
+	}
+	if got := compareReports(base, head, 25, regressFloorMS); len(got) != want || want == 0 {
+		t.Fatalf("compared %d phases, want %d:\n%s", len(got), want, strings.Join(got, "\n"))
 	}
 }

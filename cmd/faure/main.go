@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"faure"
 	"faure/internal/obsflag"
@@ -101,14 +102,17 @@ func cmdEval(args []string) error {
 	noIndex := fs.Bool("no-index", false, "disable hash-index probes")
 	backend := fs.String("backend", "native", "evaluation backend: native or sql")
 	simplify := fs.Bool("simplify", false, "simplify derived conditions for display")
-	explain := fs.String("explain", "", "trace evaluation and print derivations of this predicate")
-	trace := fs.Bool("trace", false, "trace evaluation and print the derivation tree of every derived tuple")
+	explain := fs.String("explain", "", "record provenance and print the derivation trees of this predicate")
+	trace := fs.Bool("trace", false, "record provenance and print the derivation tree of every derived tuple")
 	ob := obsflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dbPath == "" || *progPath == "" {
 		return fmt.Errorf("eval requires -db and -program")
+	}
+	if (*trace || *explain != "") && *backend != "native" {
+		return fmt.Errorf("-trace and -explain require the native backend (the sql backend records no provenance)")
 	}
 	if err := ob.Init(); err != nil {
 		return err
@@ -124,15 +128,18 @@ func cmdEval(args []string) error {
 	}
 	var res *faure.Result
 	var truncated *faure.BudgetExceeded
+	var rec *faure.ProvRecorder
+	if *trace || *explain != "" {
+		rec = faure.NewProvenance(0)
+	}
 	switch *backend {
 	case "native":
 		res, err = faure.Eval(prog, db, faure.Options{
 			NoEagerPrune: *noPrune, NoAbsorb: *noAbsorb, NoIndex: *noIndex,
 			NoPlan:   ob.NoPlan(),
-			Trace:    *explain != "" || *trace,
+			Prov:     rec,
 			Observer: ob.Observer(),
 			Budget:   ob.Budget(),
-			Workers:  ob.Workers(),
 		})
 		if err != nil {
 			return err
@@ -151,6 +158,31 @@ func cmdEval(args []string) error {
 	default:
 		return fmt.Errorf("unknown backend %q (native or sql)", *backend)
 	}
+	// Walk the provenance before -simplify rewrites the conditions the
+	// recorded tuple identities hash.
+	var derivations []string
+	if rec != nil {
+		x := faure.NewProvExplainer(rec, res.DB)
+		preds := []string{*explain}
+		if *trace {
+			preds = idbNames(prog)
+		}
+		for _, pred := range preds {
+			trees := x.ExplainAll(pred)
+			if len(trees) == 0 {
+				if *trace {
+					continue
+				}
+				return fmt.Errorf("no derivations for %q", pred)
+			}
+			var b strings.Builder
+			fmt.Fprintf(&b, "derivations of %s:\n", pred)
+			for _, tr := range trees {
+				b.WriteString(tr.String())
+			}
+			derivations = append(derivations, b.String())
+		}
+	}
 	if *simplify {
 		if err := simplifyTables(res.DB, prog); err != nil {
 			return err
@@ -163,48 +195,14 @@ func cmdEval(args []string) error {
 		}
 		fmt.Print(tbl)
 	} else {
-		idb := prog.IDB()
-		names := make([]string, 0, len(idb))
-		for n := range idb {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range idbNames(prog) {
 			if tbl := res.DB.Table(n); tbl != nil {
 				fmt.Print(tbl)
 			}
 		}
 	}
-	if *explain != "" {
-		exps := res.ExplainAll(*explain)
-		if len(exps) == 0 {
-			return fmt.Errorf("no traced derivations for %q (sql backend does not trace)", *explain)
-		}
-		fmt.Printf("derivations of %s:\n", *explain)
-		for _, e := range exps {
-			fmt.Print(e)
-		}
-	}
-	if *trace {
-		if *backend != "native" {
-			return fmt.Errorf("-trace requires the native backend (sql backend does not trace)")
-		}
-		idb := prog.IDB()
-		names := make([]string, 0, len(idb))
-		for n := range idb {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			exps := res.ExplainAll(n)
-			if len(exps) == 0 {
-				continue
-			}
-			fmt.Printf("derivations of %s:\n", n)
-			for _, e := range exps {
-				fmt.Print(e)
-			}
-		}
+	for _, d := range derivations {
+		fmt.Print(d)
 	}
 	if *stats {
 		s := res.Stats
@@ -217,6 +215,17 @@ func cmdEval(args []string) error {
 		return fmt.Errorf("result incomplete: %w", truncated)
 	}
 	return nil
+}
+
+// idbNames returns the predicates the program defines, sorted.
+func idbNames(prog *faure.Program) []string {
+	idb := prog.IDB()
+	names := make([]string, 0, len(idb))
+	for n := range idb {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func cmdWorlds(args []string) error {

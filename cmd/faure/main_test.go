@@ -82,9 +82,21 @@ func TestCmdEvalTrace(t *testing.T) {
 	if !strings.Contains(out, "reach(F0, 1, 4)") {
 		t.Errorf("-trace output missing recursive derivation:\n%s", out)
 	}
-	// The sql backend does not trace.
-	if err := cmdEval([]string{"-db", db, "-program", prog, "-trace", "-backend", "sql"}); err == nil {
-		t.Error("cmdEval -trace -backend sql should fail")
+	// Trees carry the commit's stratum/round.
+	if !strings.Contains(out, "@ s0 r1") {
+		t.Errorf("-trace output missing the recursive commit's round:\n%s", out)
+	}
+	// The sql backend records no provenance: the flag combination is
+	// rejected before evaluation, so nothing reaches stdout.
+	for _, flagArgs := range [][]string{{"-trace"}, {"-explain", "reach"}} {
+		args := append([]string{"-db", db, "-program", prog, "-backend", "sql"}, flagArgs...)
+		out, _, err := capture(t, func() error { return cmdEval(args) })
+		if err == nil {
+			t.Errorf("cmdEval %v should fail", flagArgs)
+		}
+		if out != "" {
+			t.Errorf("cmdEval %v printed before failing:\n%s", flagArgs, out)
+		}
 	}
 }
 

@@ -38,8 +38,7 @@ const (
 // hash, atom count, free c-variables) is fixed at intern time, and the
 // lazy key cache is an atomic pointer. Formulas may therefore be read
 // — compared, traversed, solved — from any number of goroutines
-// without synchronisation; the parallel evaluation engine depends on
-// this.
+// without synchronisation; concurrent evaluations share them freely.
 type Formula struct {
 	Kind FKind
 	Atom Atom       // valid when Kind == FAtom
@@ -60,8 +59,7 @@ var (
 // ID returns the formula's interned identity: two formulas are the
 // same canonical node iff their IDs are equal. IDs are assigned in
 // first-intern order, so they are stable within a process but NOT
-// across runs (and under the parallel engine not across worker
-// counts); use them as map keys, never to order output.
+// across runs; use them as map keys, never to order output.
 func (f *Formula) ID() uint64 { return f.id }
 
 // NAtoms returns the number of atom occurrences in f. It is computed
@@ -177,8 +175,8 @@ func combine(kind FKind, fs []*Formula) *Formula {
 		}
 	}
 	// Canonical child order is purely structural (compareNode): it must
-	// not involve intern ids, whose assignment order is racy under the
-	// parallel engine, or determinism across worker counts would break.
+	// not involve intern ids, whose assignment order depends on process
+	// history, or output would differ between runs.
 	// Children are interned and compareNode is 0 only for the same
 	// pointer, so duplicates end up adjacent.
 	slices.SortFunc(flat, compareNode)

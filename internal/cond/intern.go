@@ -9,19 +9,21 @@ package cond
 // node first enters the table.
 //
 // Concurrency contract: the table is lock-striped — one mutex per
-// shard, shard selected by the node's structural hash — so the
-// parallel engine's workers can build formulas concurrently. A lookup
+// shard, shard selected by the node's structural hash — so concurrent
+// evaluations (the resident service runs one per request) can build
+// formulas at the same time. A lookup
 // holds exactly one shard lock and performs no allocation on a hit.
 // Interned nodes are immutable (the lazy Key cache is an atomic
 // pointer whose racing stores write identical strings), so formulas
 // may be read from any number of goroutines without synchronisation.
 //
 // Determinism contract: intern ids are assigned in first-intern order,
-// which under the parallel engine depends on goroutine interleaving.
-// Ids therefore identify nodes within a process but must NEVER order
-// anything user-visible — canonical child ordering is the purely
-// structural compareNode, and serialisation (String, Key) depends only
-// on structure, so output is bit-identical at any worker count.
+// which depends on everything the process interned before (and, under
+// concurrent evaluations, on goroutine interleaving). Ids therefore
+// identify nodes within a process but must NEVER order anything
+// user-visible — canonical child ordering is the purely structural
+// compareNode, and serialisation (String, Key) depends only on
+// structure, so output is bit-identical whatever was interned first.
 //
 // Growth contract: interned nodes are never reclaimed. This is the
 // classic hash-consing trade-off — monotonic growth bounded by the
@@ -113,7 +115,7 @@ func hashAtom(h uint64, a Atom) uint64 {
 }
 
 // hashNode depends only on the node's structure — child hashes, never
-// child ids — so it is identical across runs and worker counts.
+// child ids — so it is identical across runs.
 func hashNode(kind FKind, a Atom, sub []*Formula) uint64 {
 	h := fnvByte(fnvOffset64, byte(kind))
 	if kind == FAtom {

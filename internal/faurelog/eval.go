@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"faure/internal/budget"
@@ -46,15 +45,10 @@ type Options struct {
 	// NoSolverCache disables the solver's memoisation of
 	// satisfiability results (ablation knob).
 	NoSolverCache bool
-	// Trace records, for every derived tuple, the rule and body tuples
-	// of its first derivation, enabling Result.Explain. Costs memory
-	// proportional to the number of derived tuples.
-	Trace bool
 	// Prov, when non-nil, records every committed tuple's provenance
-	// edge — rule, parent tuple identities, stratum/round, preparing
-	// worker — into the recorder (see internal/prov). Recording happens
-	// only in the serial commit path, so everything but the worker
-	// attribution is bit-identical at any worker count. Nil disables
+	// edge — rule, parent tuple identities, stratum/round — into the
+	// recorder (see internal/prov); a prov.Explainer over the recorder
+	// and Result.DB turns the edges into derivation trees. Nil disables
 	// recording at zero cost. A bounded recorder (prov.NewRecorder with
 	// a positive capacity) caps memory flight-recorder style; the same
 	// recorder may span several evaluations (Stats reports this run's
@@ -77,15 +71,6 @@ type Options struct {
 	// several phases (the verifier's ladder) pass the same tracker to
 	// each; the first phase to exhaust it trips them all.
 	Budget *budget.B
-	// Workers sets evaluation parallelism: how many goroutines shard
-	// each fixpoint round's rule applications, each with its own solver
-	// instance. 0 or 1 selects the sequential engine. Parallel
-	// evaluation is deterministic: workers only collect candidate
-	// tuples, and a coordinator replays them in the sequential emission
-	// order at each round barrier, so the result tables — contents,
-	// conditions and ordering — are bit-for-bit identical whatever the
-	// worker count (see parallel.go).
-	Workers int
 }
 
 // tracker resolves the effective budget: an explicit tracker wins, a
@@ -106,13 +91,6 @@ func (o Options) maxIters() int {
 		return o.MaxIterations
 	}
 	return 100000
-}
-
-func (o Options) workerCount() int {
-	if o.Workers > 1 {
-		return o.Workers
-	}
-	return 1
 }
 
 // Stats reports the work done by one evaluation, mirroring the paper's
@@ -233,8 +211,7 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Result is the outcome of an evaluation: the database extended with
-// the derived relations, plus statistics and (when Options.Trace was
-// set) the derivation trace behind Explain.
+// the derived relations, plus statistics.
 type Result struct {
 	DB    *ctable.Database
 	Stats Stats
@@ -244,7 +221,6 @@ type Result struct {
 	// fixpoint. Consumers that need completeness (the verifier) must
 	// treat a truncated result as Unknown, never as evidence of absence.
 	Truncated *budget.Exceeded
-	trace     map[string]Derivation
 }
 
 // Table returns a derived or input table by name, or nil.
@@ -322,12 +298,11 @@ type engine struct {
 	conds map[string]map[[2]uint64][]*cond.Formula
 	// pending buffers the tuples committed during the current round;
 	// they reach the relation store only at the round barrier, so every
-	// join in a round — sequential or on a worker — reads the store as
-	// of the round's start. This snapshot (Jacobi-style) round is what
-	// makes the parallel engine's output bit-identical to sequential:
-	// a worker joining against the frozen store sees exactly what the
-	// sequential join would. Derivations that need a same-round tuple
-	// fire one round later through its delta.
+	// join in a round reads the store as of the round's start. This
+	// snapshot (Jacobi-style) round fixes the iteration counts, row
+	// order and budget truncation points independently of the order
+	// rules run within a round; derivations that need a same-round
+	// tuple fire one round later through its delta.
 	pending []pendingInsert
 	// derived names the predicates the program defines, in insertion
 	// order, to build the result database; extraExport lists EDB
@@ -337,18 +312,15 @@ type engine struct {
 	extraExport  []string
 	arity        map[string]int
 	stats        Stats
-	trace        map[string]Derivation
 	// needSrcs gates the per-match source collection in join: true when
-	// either tracing or provenance recording consumes the sources, so
-	// both features share one plumbing cost and a disabled run pays a
-	// single flag check.
+	// provenance recording consumes the sources, so a run without it
+	// pays a single flag check.
 	needSrcs bool
 	// prov is the provenance recorder (nil = off); provStart snapshots
 	// its counters at engine construction so Stats reports this run's
 	// deltas even when one recorder spans several evaluations.
 	// curStratum/curRound locate the round whose commits are being
-	// replayed; they are written in runRound and read in commit, both
-	// on the coordinating goroutine only.
+	// recorded; runRound writes them and commit reads them.
 	prov       *prov.Recorder
 	provStart  prov.Stats
 	curStratum int
@@ -360,15 +332,6 @@ type engine struct {
 	// bud is the resolved resource tracker (nil when governance is off);
 	// the solver shares it, so its steps drain the same budget.
 	bud *budget.B
-	// wrk holds the per-worker state of the parallel engine (empty in
-	// sequential mode); memo is the satisfiability memo the worker
-	// solvers and the base solver share through round-barrier flushes.
-	wrk  []*evalWorker
-	memo *solver.Memo
-	// Planner counters; atomic because parallel workers plan their own
-	// units against the frozen store.
-	plansPlanned   atomic.Int64
-	plansReordered atomic.Int64
 	// internStart snapshots the global condition intern table at engine
 	// construction, so the run's Stats can report hit/miss deltas.
 	internStart cond.InternStats
@@ -400,34 +363,11 @@ func newEngine(prog *Program, db *ctable.Database, opts Options) (*engine, error
 	if e.obsOn {
 		e.sol.SetObserver(opts.Observer)
 	}
-	if n := opts.workerCount(); n > 1 {
-		if !opts.NoSolverCache {
-			e.memo = solver.NewMemo(0)
-			e.sol.SetSharedMemo(e.memo)
-		}
-		e.wrk = make([]*evalWorker, n)
-		for i := range e.wrk {
-			ws := solver.New(db.Doms)
-			ws.SetBudget(e.bud)
-			if opts.NoSolverCache {
-				ws.SetCacheLimit(0)
-			} else {
-				ws.SetSharedMemo(e.memo)
-			}
-			if e.obsOn {
-				ws.SetObserver(opts.Observer)
-			}
-			e.wrk[i] = &evalWorker{sol: ws, idx: i}
-		}
-	}
-	if opts.Trace {
-		e.trace = map[string]Derivation{}
-	}
 	if opts.Prov != nil {
 		e.prov = opts.Prov
 		e.provStart = opts.Prov.Stats()
 	}
-	e.needSrcs = e.trace != nil || e.prov != nil
+	e.needSrcs = e.prov != nil
 	e.rules = make([]*crule, len(prog.Rules))
 	for i, r := range prog.Rules {
 		e.rules[i] = compileRule(r)
@@ -496,11 +436,8 @@ func (e *engine) run() error {
 	// The wall clock of the whole run minus the time spent in the
 	// solver is the relational ("sql") phase. Both are read once, after
 	// every phase (the deferred final prune included), so solver time
-	// from later phases cannot leak into the relational column. On a
-	// parallel run the solver column sums per-worker CPU time and can
-	// exceed the wall clock; the relational column clamps at zero
-	// instead of going negative.
-	e.stats.SQLTime = max(0, time.Since(start)-e.stats.SolverTime)
+	// from later phases cannot leak into the relational column.
+	e.stats.SQLTime = time.Since(start) - e.stats.SolverTime
 	e.captureSolverStats()
 	e.captureInternStats()
 	e.captureStoreStats()
@@ -525,24 +462,15 @@ func (e *engine) captureProvStats() {
 	e.stats.ProvEvicted = now.Evicted - e.provStart.Evicted
 }
 
-// captureSolverStats folds the solvers' certificate counters into the
-// run's Stats. Worker solvers merge into the base solver at round
-// barriers; any residue since the last barrier is summed here (workers
-// reset at each fold, so nothing double-counts). Memo evictions
-// combine the per-solver cache evictions with the shared store's.
+// captureSolverStats folds the solver's certificate counters into the
+// run's Stats.
 func (e *engine) captureSolverStats() {
 	ss := e.sol.Stats()
-	for _, w := range e.wrk {
-		ss.Add(w.sol.Stats())
-	}
 	e.stats.SolverCacheHits = ss.CacheHits
 	e.stats.SolverCertHits = ss.CertHits
 	e.stats.SolverFastPathHits = ss.FastPathHits
 	e.stats.SolverSearches = ss.Searches()
 	e.stats.MemoEvictions = int64(ss.Evictions)
-	if e.memo != nil {
-		e.stats.MemoEvictions += e.memo.Evictions()
-	}
 }
 
 // captureInternStats folds the condition intern table's counters into
@@ -558,9 +486,9 @@ func (e *engine) captureInternStats() {
 	e.stats.InternLive = now.Live
 }
 
-// captureStoreStats folds the relation store's lookup counters and the
-// planner's decision counters into the run's Stats. Called once at the
-// end of a run, after every phase that touches the store.
+// captureStoreStats folds the relation store's lookup counters into
+// the run's Stats. Called once at the end of a run, after every phase
+// that touches the store.
 func (e *engine) captureStoreStats() {
 	sc := e.store.Counters()
 	e.stats.Probes = sc.Probes
@@ -568,8 +496,6 @@ func (e *engine) captureStoreStats() {
 	e.stats.Scans = sc.Scans
 	e.stats.FallbackScans = sc.Fallbacks
 	e.stats.Intersections = sc.Intersections
-	e.stats.PlansPlanned = e.plansPlanned.Load()
-	e.stats.PlansReordered = e.plansReordered.Load()
 }
 
 // runStrata evaluates each stratum to fixpoint, in dependency order.
@@ -648,6 +574,15 @@ func (e *engine) reportTotals(evalSpan obs.Span) {
 	)
 }
 
+// unit is one rule application of a fixpoint round: the rule with
+// (when deltaIdx >= 0) the deltaIdx-th body literal restricted to an
+// explicit tuple slice.
+type unit struct {
+	r        *crule
+	deltaIdx int
+	delta    []ctable.Tuple
+}
+
 // delta is the per-round set of newly derived tuples for the recursive
 // predicates of a stratum.
 type delta map[string][]ctable.Tuple
@@ -695,17 +630,14 @@ func (e *engine) evalStratum(rules []*crule, recursive map[string]bool, evalSpan
 	return nil
 }
 
-// runRound runs one fixpoint round's units — checkpoint, iteration
-// span, then either the sequential loop or the worker pool. The two
-// paths produce identical emissions in identical order (see
-// parallel.go); only wall-clock and span shape differ.
+// runRound runs one fixpoint round's units in order — checkpoint,
+// iteration span, one rule application per unit — then publishes the
+// round's commits at the barrier.
 func (e *engine) runRound(units []unit, sink func(string, ctable.Tuple), evalSpan obs.Span, stratum, round int) error {
 	if err := e.checkpoint(stratum, round); err != nil {
 		return err
 	}
-	// Locate this round's commits for provenance recording. Written
-	// here and read in commit — both only on the coordinating
-	// goroutine (workers never commit).
+	// Locate this round's commits for provenance recording.
 	e.curStratum, e.curRound = stratum, round
 	var itSpan obs.Span
 	if e.obsOn {
@@ -713,15 +645,14 @@ func (e *engine) runRound(units []unit, sink func(string, ctable.Tuple), evalSpa
 			obs.Int("stratum", int64(stratum)), obs.Int("round", int64(round)))
 	}
 	var err error
-	if len(e.wrk) > 0 {
-		err = e.runRoundParallel(units, sink, itSpan)
-	} else {
-		err = e.runRoundSeq(units, sink, itSpan)
+	for _, u := range units {
+		if err = e.deriveRuleObserved(u.r, u.deltaIdx, u.delta, sink, itSpan); err != nil {
+			break
+		}
 	}
 	// Round barrier: the tuples committed this round become visible to
 	// the next round's joins. On a mid-round budget trip the commits
-	// made so far still stand (sequential truncation semantics); a
-	// worker-phase trip left pending empty, so the round rolls back.
+	// made so far still stand, so a truncated result keeps them.
 	if ferr := e.flushPending(); err == nil {
 		err = ferr
 	}
@@ -753,15 +684,6 @@ func (e *engine) flushPending() error {
 	return nil
 }
 
-func (e *engine) runRoundSeq(units []unit, sink func(string, ctable.Tuple), itSpan obs.Span) error {
-	for _, u := range units {
-		if err := e.deriveRuleObserved(u.r, u.deltaIdx, u.delta, sink, itSpan); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // checkpoint runs the per-round governance checks: the fault-injection
 // point for deterministic iteration failures, then cancellation and
 // wall-clock polling.
@@ -788,27 +710,24 @@ func (e *engine) annotate(err error, stratum, round int) error {
 	return err
 }
 
-// emitFn receives each completed body match of a rule application:
-// the rule (its body in execution order), the slot values of the final
-// bindings, the accumulated body conditions and (when tracing) the
-// source tuples. vals is the join's live binding array: an emitFn must
-// not retain it. The sequential engine plugs in emit directly; the
-// parallel workers plug in a candidate collector (see runUnit).
-type emitFn func(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source) error
+// Source is one body fact a derivation consumed: a positive match or a
+// negated literal (whose "match" is the absence condition).
+type Source struct {
+	Pred    string
+	Tuple   ctable.Tuple
+	Negated bool
+}
 
 // deriveRuleObserved wraps deriveRule in a "rule" span recording the
 // head predicate and how many tuples the application derived. With
 // observation off it is a tail call into deriveRule.
 func (e *engine) deriveRuleObserved(r *crule, deltaIdx int, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple), itSpan obs.Span) error {
-	emit := func(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source) error {
-		return e.emit(r, vals, conds, srcs, sink)
-	}
 	if !e.obsOn {
-		return e.deriveRule(r, deltaIdx, deltaTuples, emit)
+		return e.deriveRule(r, deltaIdx, deltaTuples, sink)
 	}
 	sp := itSpan.StartChild("rule", obs.String("head", r.src.Head.Pred))
 	before := e.stats.Derived
-	err := e.deriveRule(r, deltaIdx, deltaTuples, emit)
+	err := e.deriveRule(r, deltaIdx, deltaTuples, sink)
 	derived := int64(e.stats.Derived - before)
 	sp.SetAttrs(obs.Int("derived", derived))
 	sp.End()
@@ -817,22 +736,31 @@ func (e *engine) deriveRuleObserved(r *crule, deltaIdx int, deltaTuples []ctable
 }
 
 // app is one rule application's join state: the rule with its body in
-// execution order, the delta tuples fed to literal deltaIdx (-1: none)
-// and the slot bindings.
+// execution order, the delta tuples fed to literal deltaIdx (-1: none),
+// the slot bindings and the sink committed tuples go to.
 type app struct {
 	e        *engine
 	r        *crule
 	deltaIdx int
 	delta    []ctable.Tuple
 	b        *binding
-	emit     emitFn
+	sink     func(string, ctable.Tuple)
+}
+
+// emit hands one completed body match to the engine: the rule (its body
+// in execution order), the slot values of the final bindings, the
+// accumulated body conditions and (when recording provenance) the
+// source tuples. vals is the join's live binding array and srcs its
+// live source stack; neither outlives the call.
+func (x *app) emit(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source) error {
+	return x.e.emit(r, vals, conds, srcs, x.sink)
 }
 
 // deriveRule joins the rule body — with the deltaIdx-th literal
 // (an index into the compiled, positives-first body) restricted to
-// deltaTuples when deltaIdx >= 0 — and hands each completed match to
-// emit.
-func (e *engine) deriveRule(r *crule, deltaIdx int, deltaTuples []ctable.Tuple, emit emitFn) error {
+// deltaTuples when deltaIdx >= 0 — and emits each completed match,
+// committed tuples going to sink.
+func (e *engine) deriveRule(r *crule, deltaIdx int, deltaTuples []ctable.Tuple, sink func(string, ctable.Tuple)) error {
 	// Per-rule-application poll; the empty location is filled in with
 	// the stratum and round by the caller's annotate.
 	if err := e.bud.Check(""); err != nil {
@@ -860,7 +788,7 @@ func (e *engine) deriveRule(r *crule, deltaIdx int, deltaTuples []ctable.Tuple, 
 		deltaIdx: deltaIdx,
 		delta:    deltaTuples,
 		b:        newBinding(r.nvars),
-		emit:     emit,
+		sink:     sink,
 	}
 	// Cost-guided planning: when the greedy cost model finds a cheaper
 	// positive-literal order than the written one, run the planned
@@ -878,9 +806,9 @@ func (e *engine) deriveRule(r *crule, deltaIdx int, deltaTuples []ctable.Tuple, 
 		}
 		if nPos > 1 {
 			order, changed := e.planPositives(&ordered, deltaIdx, nPos)
-			e.plansPlanned.Add(1)
+			e.stats.PlansPlanned++
 			if changed {
-				e.plansReordered.Add(1)
+				e.stats.PlansReordered++
 				return x.runPlanned(order, nPos)
 			}
 		}
@@ -909,9 +837,9 @@ func (r *crule) String() string {
 	return src.String()
 }
 
-// join is safe to call from worker goroutines when emit is: besides
-// emit it touches only the frozen store, the (atomic) budget and
-// read-only engine configuration.
+// join matches body literal i and everything after it, depth first,
+// handing each completed match to emit. It reads the store as of the
+// round's start (commits wait in e.pending until the barrier).
 func (x *app) join(i int, conds []*cond.Formula, srcs []Source) error {
 	r := x.r
 	if i == len(r.body) {
@@ -1128,9 +1056,8 @@ func (e *engine) negationCondition(a *catom, b *binding) (*cond.Formula, []cond.
 
 // emit instantiates the rule head under the completed bindings,
 // attaches the accumulated and explicit conditions, prunes and dedups,
-// and inserts the tuple. It is the sequential composition of the two
-// halves the parallel engine runs on different sides of its round
-// barrier: prepareEmit (worker-safe) and commit (serial).
+// and inserts the tuple: prepareEmit builds the candidate, commit
+// decides its fate.
 func (e *engine) emit(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source, sink func(string, ctable.Tuple)) error {
 	p, live, err := e.prepareEmit(r, vals, conds, srcs)
 	if err != nil {
@@ -1140,12 +1067,12 @@ func (e *engine) emit(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []
 		e.stats.Pruned++
 		return nil
 	}
-	return e.commit(p, false, false, sink)
+	return e.commit(p, sink)
 }
 
-// prepared is the outcome of the worker-safe half of an emission: the
-// instantiated head tuple with its canonical condition, precomputed
-// dedup keys, and (when tracing) the derivation provenance.
+// prepared is a candidate emission: the instantiated head tuple with
+// its canonical condition, precomputed dedup keys, and (when recording
+// provenance) the rule text and sources.
 type prepared struct {
 	pred string
 	tp   ctable.Tuple
@@ -1157,18 +1084,14 @@ type prepared struct {
 	base    *cond.Formula
 	key     ctable.TupleID
 	dataKey [2]uint64 // data-part hash, for absorption grouping
-	ruleStr string    // set when tracing or recording provenance
-	srcs    []Source  // copied, set when tracing or recording provenance
-	// worker is the preparing worker's index (0 sequentially); recorded
-	// as provenance diagnostics, never part of canonical output.
-	worker int
+	ruleStr string    // set when recording provenance
+	srcs    []Source  // set when recording provenance; the join's live stack
 }
 
-// prepareEmit builds the head tuple for completed bindings. It is safe
-// to call from worker goroutines: it reads only immutable engine
-// configuration and charges the (concurrency-safe) budget. live=false
-// with a nil error reports a syntactically false condition — the
-// caller owns counting the prune so workers can defer it to the merge.
+// prepareEmit builds the head tuple for completed bindings. It touches
+// no dedup, absorption or store state. live=false with a nil error
+// reports a syntactically false condition, which the caller counts as
+// a prune.
 func (e *engine) prepareEmit(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source) (prepared, bool, error) {
 	// The conjuncts: body conditions, then the comparisons and the head
 	// condition (instantiated here unless they use no program variable,
@@ -1241,19 +1164,16 @@ func (e *engine) prepareEmit(r *crule, vals []cond.Term, conds []*cond.Formula, 
 	}
 	if e.needSrcs {
 		p.ruleStr = r.str
-		p.srcs = make([]Source, len(srcs))
-		copy(p.srcs, srcs)
+		p.srcs = srcs
 	}
 	return p, true, nil
 }
 
-// commit is the serial half of an emission: dedup, eager prune,
-// absorption, budget charge, insert, trace, sink. All shared engine
-// state is touched only here, which is why the parallel merge — which
-// replays prepared candidates in sequential emission order — yields
-// bit-identical tables. satKnown carries a worker's speculative
-// satisfiability verdict so the merge does not repeat the solver call.
-func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable.Tuple)) error {
+// commit decides a prepared emission: dedup, eager prune, absorption,
+// budget charge, pending insert, provenance record, sink. Every
+// decision that reads or writes the dedup, absorption or pending state
+// happens here, in emission order.
+func (e *engine) commit(p prepared, sink func(string, ctable.Tuple)) error {
 	seen := e.seen[p.pred]
 	if seen == nil {
 		seen = map[ctable.TupleID]struct{}{}
@@ -1265,12 +1185,9 @@ func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable
 	seen[p.key] = struct{}{}
 
 	if !e.opts.NoEagerPrune {
-		if !satKnown {
-			var err error
-			sat, err = e.timedSatFrom(p.cond, p.base)
-			if err != nil {
-				return err
-			}
+		sat, err := e.timedSatFrom(p.cond, p.base)
+		if err != nil {
+			return err
 		}
 		if !sat {
 			e.stats.Pruned++
@@ -1302,9 +1219,6 @@ func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable
 	}
 	e.pending = append(e.pending, pendingInsert{pred: p.pred, tp: p.tp})
 	e.stats.Derived++
-	if e.trace != nil {
-		e.trace[traceKey(p.pred, p.tp)] = Derivation{Rule: p.ruleStr, Sources: p.srcs}
-	}
 	if e.prov != nil {
 		e.recordProv(&p)
 	}
@@ -1312,11 +1226,8 @@ func (e *engine) commit(p prepared, satKnown, sat bool, sink func(string, ctable
 	return nil
 }
 
-// recordProv stores the provenance edge of a just-committed tuple.
-// Called only from commit — the serial point the parallel merge
-// replays in sequential emission order — so the recorded rule, parents
-// and round are identical at any worker count; only the worker index
-// (pure diagnostics) depends on the schedule.
+// recordProv stores the provenance edge of a just-committed tuple:
+// its rule, parents and the stratum/round of the commit.
 func (e *engine) recordProv(p *prepared) {
 	refs := make([]prov.SourceRef, len(p.srcs))
 	for i, s := range p.srcs {
@@ -1327,7 +1238,7 @@ func (e *engine) recordProv(p *prepared) {
 			refs[i].Tuple = s.Tuple
 		}
 	}
-	e.prov.Record(p.pred, p.key, e.prov.InternRule(p.ruleStr), e.curStratum, e.curRound, p.worker, refs)
+	e.prov.Record(p.pred, p.key, e.prov.InternRule(p.ruleStr), e.curStratum, e.curRound, refs)
 }
 
 // absorbed decides whether condition is implied by the disjunction of
@@ -1401,7 +1312,7 @@ func (e *engine) result() (*Result, error) {
 		}
 		out.AddTable(rel.Table(attrs))
 	}
-	return &Result{DB: out, Stats: e.stats, trace: e.trace}, nil
+	return &Result{DB: out, Stats: e.stats}, nil
 }
 
 // Stratify orders the program's IDB predicates for evaluation: it

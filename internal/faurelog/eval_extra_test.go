@@ -1,13 +1,81 @@
 package faurelog
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"faure/internal/cond"
 	"faure/internal/ctable"
+	"faure/internal/prov"
 	"faure/internal/solver"
 )
+
+// condGraph builds a two-ring topology with conditional cross links:
+// recursion deep enough for several delta rounds, and boolean
+// link-state c-variables so pruning and absorption both fire.
+func condGraph(t *testing.T, n int) *ctable.Database {
+	t.Helper()
+	db := ctable.NewDatabase()
+	link := ctable.NewTable("link", "src", "dst")
+	node := ctable.NewTable("node", "id")
+	for i := 0; i < n; i++ {
+		node.MustInsert(nil, cond.Int(int64(i)))
+		link.MustInsert(nil, cond.Int(int64(i)), cond.Int(int64((i+1)%n)))
+		if i%3 == 0 {
+			v := fmt.Sprintf("l%d", i)
+			db.DeclareVar(v, solver.BoolDomain())
+			up := cond.Compare(cond.CVar(v), cond.Eq, cond.Int(1))
+			link.MustInsert(up, cond.Int(int64(i)), cond.Int(int64((i+7)%n)))
+			// A second conditional edge with the complementary state, so
+			// some derivations conjoin l=1 with l=0 and prune.
+			down := cond.Compare(cond.CVar(v), cond.Eq, cond.Int(0))
+			link.MustInsert(down, cond.Int(int64((i+7)%n)), cond.Int(int64(i)))
+		}
+	}
+	db.AddTable(link)
+	db.AddTable(node)
+	return db
+}
+
+// dumpResult renders every derived table — tuple data, conditions and
+// ordering — into one canonical string for bit-for-bit comparison.
+func dumpResult(res *Result) string {
+	var names []string
+	for name := range res.DB.Tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		tbl := res.DB.Tables[name]
+		fmt.Fprintf(&b, "== %s (%s)\n", name, strings.Join(tbl.Schema.Attrs, ","))
+		for i, tp := range tbl.Tuples {
+			fmt.Fprintf(&b, "%4d %s\n", i, tp.Key())
+		}
+	}
+	return b.String()
+}
+
+// testPrograms are the recursion, negation and comparison shapes the
+// condGraph tests evaluate.
+var testPrograms = map[string]string{
+	"recursive": `
+		reach(a, b) :- link(a, b).
+		reach(a, c) :- link(a, b), reach(b, c).
+	`,
+	"negation": `
+		reach(a, b) :- link(a, b).
+		reach(a, c) :- link(a, b), reach(b, c).
+		isolated(a, b) :- node(a), node(b), not reach(a, b).
+	`,
+	"comparisons": `
+		fwd(a, b) :- link(a, b), a < b.
+		reach(a, b) :- fwd(a, b).
+		reach(a, c) :- fwd(a, b), reach(b, c).
+	`,
+}
 
 // TestMutualRecursion: two predicates defined in terms of each other
 // (same stratum) reach the fixpoint.
@@ -392,7 +460,21 @@ func TestStratifyMutualRecursionGroup(t *testing.T) {
 	}
 }
 
-// TestTraceExplain: traced evaluation reconstructs derivation trees.
+// explainRun evaluates prog over db with a fresh provenance recorder
+// and returns the result with an explainer over it.
+func explainRun(t *testing.T, prog *Program, db *ctable.Database, opts Options) (*Result, *prov.Explainer) {
+	t.Helper()
+	rec := prov.NewRecorder(0)
+	opts.Prov = rec
+	res, err := Eval(prog, db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, prov.NewExplainer(rec, res.DB)
+}
+
+// TestTraceExplain: a provenance-recorded evaluation reconstructs
+// derivation trees.
 func TestTraceExplain(t *testing.T) {
 	db, err := ParseDatabase(`
 		var $x in {0, 1}.
@@ -406,12 +488,9 @@ func TestTraceExplain(t *testing.T) {
 		reach(a, b) :- link(a, b).
 		reach(a, c) :- link(a, b), reach(b, c).
 	`)
-	res, err := Eval(prog, db, Options{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Traced() {
-		t.Fatalf("trace not recorded")
+	res, x := explainRun(t, prog, db, Options{})
+	if res.Stats.ProvEdges == 0 {
+		t.Fatalf("provenance not recorded")
 	}
 	// Find reach(1, 3) and explain it: derived from link(1,2) and
 	// reach(2,3), which in turn comes from link(2,3).
@@ -425,8 +504,8 @@ func TestTraceExplain(t *testing.T) {
 	if !found {
 		t.Fatalf("reach(1,3) missing")
 	}
-	e := res.Explain("reach", target)
-	if e == nil || e.Rule == "" {
+	e := x.Explain("reach", target)
+	if e.Rule == "" {
 		t.Fatalf("no explanation for reach(1,3): %v", e)
 	}
 	out := e.String()
@@ -436,17 +515,17 @@ func TestTraceExplain(t *testing.T) {
 		}
 	}
 	// EDB facts are leaves.
-	leaf := res.Explain("link", db.Table("link").Tuples[1])
-	if leaf == nil || leaf.Rule != "" || len(leaf.Children) != 0 {
+	leaf := x.Explain("link", db.Table("link").Tuples[1])
+	if !leaf.EDB || leaf.Rule != "" || len(leaf.Children) != 0 {
 		t.Errorf("EDB fact should be a leaf: %+v", leaf)
 	}
-	// Untraced runs return nil.
+	// A run without a recorder records nothing.
 	res2, err := Eval(prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Explain("reach", target) != nil || res2.Traced() {
-		t.Errorf("untraced run should not explain")
+	if res2.Stats.ProvEdges != 0 {
+		t.Errorf("unrecorded run reports %d provenance edges", res2.Stats.ProvEdges)
 	}
 }
 
@@ -460,11 +539,8 @@ func TestTraceNegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := MustParse(`q(x) :- r(x), not s(x).`)
-	res, err := Eval(prog, db, Options{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exps := res.ExplainAll("q")
+	_, x := explainRun(t, prog, db, Options{})
+	exps := x.ExplainAll("q")
 	if len(exps) != 1 {
 		t.Fatalf("expected one explanation, got %d", len(exps))
 	}
@@ -524,5 +600,69 @@ func TestAllComparisonOperatorsParse(t *testing.T) {
 	}
 	if _, err := Parse(`q(x) :- r(x), x + 1.`); err == nil {
 		t.Errorf("comparison without operator should fail")
+	}
+}
+
+// TestAbsorbFastPath: a re-derivation whose condition literally
+// contains an already-recorded condition as a conjunct must absorb
+// without a solver probe.
+func TestAbsorbFastPath(t *testing.T) {
+	db, err := ParseDatabase(`
+		var $l in {0, 1}.
+		edge(1, 2).
+		gate(1, 2)[$l = 1].
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first rule derives conn(1,2) under ($l = 1) and records it.
+	// The second re-derives it with an extra head conjunct: its
+	// condition ($l = 1) ∧ ($m = 1) contains the recorded ($l = 1) as a
+	// top-level conjunct, so the syntactic fast path absorbs it without
+	// consulting the solver.
+	prog := MustParse(`
+		conn(a, b) :- gate(a, b).
+		conn(a, b)[$m = 1] :- edge(a, b), gate(a, b).
+	`)
+	db.DeclareVar("m", solver.BoolDomain())
+	res, err := Eval(prog, db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Absorbed != 1 {
+		t.Fatalf("Absorbed = %d, want 1 (conn re-derivation)", res.Stats.Absorbed)
+	}
+	if res.Stats.AbsorbProbes != 0 {
+		t.Fatalf("AbsorbProbes = %d, want 0: the conjunct fast path should bypass the solver", res.Stats.AbsorbProbes)
+	}
+}
+
+// TestAbsorbSemanticProbeStillCounts: when the fast path cannot
+// answer, the semantic probe runs and is counted.
+func TestAbsorbSemanticProbeStillCounts(t *testing.T) {
+	db, err := ParseDatabase(`
+		var $l in {0, 1}.
+		a(1)[$l = 0 || $l = 1].
+		b(1)[$l = 0].
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// q(1) first derives under ($l=0 ∨ $l=1); the b-rule re-derives it
+	// under ($l=0), which is semantically implied but shares no
+	// syntactic conjunct with the recorded disjunction.
+	prog := MustParse(`
+		q(x) :- a(x).
+		q(x) :- b(x).
+	`)
+	res, err := Eval(prog, db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Absorbed != 1 {
+		t.Fatalf("Absorbed = %d, want 1", res.Stats.Absorbed)
+	}
+	if res.Stats.AbsorbProbes != 1 {
+		t.Fatalf("AbsorbProbes = %d, want 1 (semantic probe)", res.Stats.AbsorbProbes)
 	}
 }

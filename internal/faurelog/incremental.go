@@ -189,10 +189,8 @@ seedLoop:
 	}
 	// As in run(): wall clock and total solver time are both read once,
 	// after every phase, so the split cannot misattribute late solver
-	// work (the deferred prune) to the relational column; parallel runs
-	// clamp at zero because summed per-worker solver time can exceed
-	// the wall clock.
-	e.stats.SQLTime = max(0, time.Since(start)-e.stats.SolverTime)
+	// work (the deferred prune) to the relational column.
+	e.stats.SQLTime = time.Since(start) - e.stats.SolverTime
 	e.captureInternStats()
 	e.captureStoreStats()
 	e.captureProvStats()

@@ -43,7 +43,7 @@ package faurelog
 // (written-order emits them, the eager prune or the final prune drops
 // them, and they can never absorb or outlive a satisfiable tuple), so
 // final tables, dumps and verdicts are bit-for-bit identical with the
-// planner on or off, at any worker count. Only speculative-work
+// planner on or off. Only speculative-work
 // counters (pruned, sat calls, probes) may differ.
 
 import (

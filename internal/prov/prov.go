@@ -1,19 +1,17 @@
 // Package prov implements derivation provenance for the fauré-log
 // engine: an append-only record of how every committed tuple was first
-// derived — the rule, the parent tuples (by their 128-bit identities),
-// the stratum/round of the commit and the worker that prepared it.
+// derived — the rule, the parent tuples (by their 128-bit identities)
+// and the stratum/round of the commit.
 //
-// The recorder is designed around the engine's determinism contract:
-// edges are recorded only inside the serial commit path (the same path
-// the parallel merge replays in sequential emission order), so the
-// recorded rule, parents and round of every tuple are bit-identical at
-// any worker count. Only the worker attribution is schedule-dependent;
-// the canonical dump therefore excludes it (see Explainer.Dump).
+// The engine records edges only from its commit path, in emission
+// order, so the recorded rule, parents and round of every tuple are a
+// deterministic function of the program and the database; the
+// canonical dump (see Explainer.Dump) is byte-stable across runs.
 //
 // Memory is bounded on demand: capacity 0 keeps every edge (memory
-// proportional to the number of derived tuples, like Options.Trace);
-// capacity N > 0 runs as a flight recorder, a ring that overwrites the
-// oldest edge once N are held. Storage is compact either way: interned
+// proportional to the number of derived tuples); capacity N > 0 runs
+// as a flight recorder, a ring that overwrites the oldest edge once N
+// are held. Storage is compact either way: interned
 // predicate and rule-text tables, fixed-size edge records, and one
 // shared parent arena addressed by offset/length instead of per-edge
 // slices.
@@ -53,10 +51,6 @@ type Edge struct {
 	Rule    string
 	Stratum int
 	Round   int
-	// Worker is the index of the evaluation worker that prepared the
-	// emission (0 on a sequential run). Diagnostic only: unlike every
-	// other field it depends on the parallel schedule.
-	Worker  int
 	Parents []Parent
 }
 
@@ -85,7 +79,6 @@ type edgeRec struct {
 	rule    int32
 	stratum int32
 	round   int32
-	worker  int32
 	poff    uint32
 	plen    uint32
 }
@@ -107,8 +100,7 @@ type ref struct {
 }
 
 // Recorder accumulates provenance edges. It is safe for concurrent
-// use; the engine only ever records from its serial commit path, but
-// HTTP explain handlers read while later evaluations record.
+// use: HTTP explain handlers read while later evaluations record.
 type Recorder struct {
 	mu    sync.Mutex
 	cap   int // 0 = unbounded; > 0 = ring of that many edges
@@ -181,7 +173,7 @@ func (r *Recorder) internPredLocked(pred string) uint32 {
 // derivation of a tuple wins (matching the engine's dedup: later
 // re-derivations never reach the relation store either). ruleID must
 // come from InternRule on the same recorder.
-func (r *Recorder) Record(pred string, key ctable.TupleID, ruleID int32, stratum, round, worker int, srcs []SourceRef) {
+func (r *Recorder) Record(pred string, key ctable.TupleID, ruleID int32, stratum, round int, srcs []SourceRef) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	predID := r.internPredLocked(pred)
@@ -211,7 +203,6 @@ func (r *Recorder) Record(pred string, key ctable.TupleID, ruleID int32, stratum
 		rule:    ruleID,
 		stratum: int32(stratum),
 		round:   int32(round),
-		worker:  int32(worker),
 		poff:    poff,
 		plen:    uint32(len(srcs)),
 	}
@@ -338,7 +329,6 @@ func (r *Recorder) exportLocked(rec edgeRec) Edge {
 		Rule:    r.rules[rec.rule],
 		Stratum: int(rec.stratum),
 		Round:   int(rec.round),
-		Worker:  int(rec.worker),
 		Parents: parents,
 	}
 }

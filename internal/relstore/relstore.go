@@ -21,11 +21,11 @@
 // (Insert, Ensure, Replace, TrackIdentity). The lazy build is part of
 // the read side: concurrent first probes of one column serialise on
 // that column's mutex, exactly one of them builds the index, and the
-// others then read the published result. The parallel evaluation engine
-// relies on exactly this phased discipline — workers read a frozen store
-// during a round, the coordinator writes only at iteration barriers.
-// The probe/scan counters are atomic so concurrent readers do not race
-// on them.
+// others then read the published result. The probe/scan counters are
+// atomic so concurrent readers do not race on them. The fauré-log
+// engine reads its store from one goroutine, but relstore is a
+// standalone package and keeps this contract for any caller that
+// shares a frozen store (TestLazyIndexConcurrent pins it).
 package relstore
 
 import (
@@ -53,12 +53,12 @@ type Relation struct {
 	// false.
 	ids map[ctable.TupleID]struct{}
 
-	// Stats; atomic because probes and scans are served concurrently by
-	// the parallel engine's workers. Fallbacks are Candidates calls that
-	// degraded to a full scan (c-variable key, out-of-range column) —
-	// counted apart from deliberate All() scans so a probe hit ratio
-	// over these counters is honest about where index lookups silently
-	// gave up.
+	// Stats; atomic so concurrent readers of a frozen store (see the
+	// package concurrency contract) do not race. Fallbacks are
+	// Candidates calls that degraded to a full scan (c-variable key,
+	// out-of-range column) — counted apart from deliberate All() scans
+	// so a probe hit ratio over these counters is honest about where
+	// index lookups silently gave up.
 	probes        atomic.Int64 // indexed single-column constant probes served
 	multiProbes   atomic.Int64 // multi-column intersection probes served
 	scans         atomic.Int64 // deliberate full scans served (All)

@@ -12,6 +12,10 @@ func distinctFormula(i int) *cond.Formula {
 	return cond.Compare(cond.CVar("x"), cond.Eq, cond.Int(int64(i)))
 }
 
+// resetStats zeroes a solver's counters (the cache is kept), so a test
+// can measure one phase in isolation.
+func resetStats(s *Solver) { s.stats = Stats{} }
+
 // TestCacheEviction checks that the memo keeps absorbing new formulas
 // past its limit by evicting old entries instead of refusing inserts.
 func TestCacheEviction(t *testing.T) {
@@ -21,12 +25,12 @@ func TestCacheEviction(t *testing.T) {
 	for i := 0; i < 4*limit; i++ {
 		mustSat(t, s, distinctFormula(i))
 	}
-	if got := s.cache.len(); got != limit {
+	if got := len(s.cache.m); got != limit {
 		t.Fatalf("cache len = %d, want exactly the limit %d", got, limit)
 	}
 	// The most recent formulas must still be cached: re-deciding the
 	// last `limit` entries should be pure hits.
-	s.ResetStats()
+	resetStats(s)
 	for i := 3 * limit; i < 4*limit; i++ {
 		mustSat(t, s, distinctFormula(i))
 	}
@@ -35,12 +39,12 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// The oldest ones were evicted: deciding them again is a miss that
 	// inserts (evicting in turn), never an error or a refused insert.
-	s.ResetStats()
+	resetStats(s)
 	mustSat(t, s, distinctFormula(0))
 	if st := s.Stats(); st.CacheHits != 0 {
 		t.Fatalf("evicted formula unexpectedly hit the cache")
 	}
-	if got := s.cache.len(); got != limit {
+	if got := len(s.cache.m); got != limit {
 		t.Fatalf("cache len after churn = %d, want %d", got, limit)
 	}
 }
@@ -56,85 +60,8 @@ func TestCacheDisabled(t *testing.T) {
 	if st := s.Stats(); st.CacheHits != 0 {
 		t.Fatalf("disabled cache produced %d hits", st.CacheHits)
 	}
-	if s.cache.len() != 0 {
-		t.Fatalf("disabled cache stored %d entries", s.cache.len())
-	}
-}
-
-// TestSharedMemo exercises the phased sharing protocol the parallel
-// engine uses: worker solvers flush their memo entries into a shared
-// Memo at a barrier, and other workers then answer those formulas from
-// the shared memo without re-deriving them.
-func TestSharedMemo(t *testing.T) {
-	memo := NewMemo(0)
-	a := New(Domains{})
-	b := New(Domains{})
-	a.SetSharedMemo(memo)
-	b.SetSharedMemo(memo)
-
-	const n = 16
-	for i := 0; i < n; i++ {
-		mustSat(t, a, distinctFormula(i))
-	}
-	// Barrier: a's entries move into the shared memo.
-	if moved := a.FlushMemo(memo); moved != n {
-		t.Fatalf("FlushMemo moved %d entries, want %d", moved, n)
-	}
-	if memo.Len() != n {
-		t.Fatalf("memo holds %d entries, want %d", memo.Len(), n)
-	}
-	if a.cache.len() != 0 {
-		t.Fatalf("flush left %d entries in the local cache", a.cache.len())
-	}
-	// b answers every one of them from the shared memo.
-	for i := 0; i < n; i++ {
-		mustSat(t, b, distinctFormula(i))
-	}
-	if st := b.Stats(); st.CacheHits != n {
-		t.Fatalf("shared memo served %d hits, want %d", st.CacheHits, n)
-	}
-	// b did zero search work for them.
-	if st := b.Stats(); st.EnumNodes != 0 {
-		t.Fatalf("b searched %d nodes despite shared hits", st.EnumNodes)
-	}
-	// Flushing b (which cached nothing locally beyond shared hits) is a
-	// no-op, and re-flushing a duplicate entry does not double-insert.
-	mustSat(t, a, distinctFormula(0)) // hit from shared, nothing local
-	if moved := a.FlushMemo(memo); moved != 0 {
-		t.Fatalf("duplicate flush moved %d entries, want 0", moved)
-	}
-	if memo.Len() != n {
-		t.Fatalf("memo grew to %d after duplicate flush", memo.Len())
-	}
-}
-
-// TestSharedMemoEviction checks the shared memo evicts at its own
-// bound rather than rejecting flushed entries.
-func TestSharedMemoEviction(t *testing.T) {
-	memo := NewMemo(4)
-	s := New(Domains{})
-	for i := 0; i < 10; i++ {
-		mustSat(t, s, distinctFormula(i))
-	}
-	s.FlushMemo(memo)
-	if memo.Len() != 4 {
-		t.Fatalf("bounded memo holds %d entries, want 4", memo.Len())
-	}
-}
-
-// TestStatsAdd checks the merge arithmetic the parallel engine relies
-// on at barriers.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{SatCalls: 1, CacheHits: 2, CertHits: 3, FastPathHits: 4, FDNodes: 5, EnumNodes: 6, DPLLNodes: 7, Evictions: 8}
-	a.Add(Stats{SatCalls: 10, CacheHits: 20, CertHits: 30, FastPathHits: 40, FDNodes: 50, EnumNodes: 60, DPLLNodes: 70, Evictions: 80})
-	want := Stats{SatCalls: 11, CacheHits: 22, CertHits: 33, FastPathHits: 44, FDNodes: 55, EnumNodes: 66, DPLLNodes: 77, Evictions: 88}
-	if a != want {
-		t.Fatalf("Stats.Add = %+v, want %+v", a, want)
-	}
-	s := New(Domains{})
-	s.AddStats(want)
-	if s.Stats() != want {
-		t.Fatalf("AddStats = %+v, want %+v", s.Stats(), want)
+	if len(s.cache.m) != 0 {
+		t.Fatalf("disabled cache stored %d entries", len(s.cache.m))
 	}
 }
 
@@ -151,7 +78,7 @@ func TestMemoKeysAreCanonical(t *testing.T) {
 		t.Fatalf("equal formulas with distinct keys: %q vs %q", f.Key(), g.Key())
 	}
 	mustSat(t, s, f)
-	s.ResetStats()
+	resetStats(s)
 	mustSat(t, s, g)
 	if st := s.Stats(); st.CacheHits != 1 {
 		t.Fatalf("structurally equal formula missed the cache (%d hits)", st.CacheHits)

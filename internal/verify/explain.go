@@ -142,49 +142,76 @@ func (v *Verifier) ExplainLadder(target containment.Constraint, known []containm
 // recording, collects the violation condition from the satisfiable
 // panic tuples, and attaches their derivation trees.
 func (v *Verifier) explainState(x *ReportExplanation, target containment.Constraint, state *ctable.Database, focus **cond.Formula) error {
+	trees, violation, st, err := v.panicDerivations(target, state, maxDerivations)
+	x.Derivations = append(x.Derivations, trees...)
+	x.SatCalls += int64(st.SatCalls)
+	x.CacheHits += int64(st.CacheHits)
+	if err != nil {
+		if _, ok := budget.As(err); !ok {
+			return err
+		}
+		x.BudgetExhausted = true
+	}
+	if !violation.IsFalse() {
+		*focus = violation
+	}
+	return nil
+}
+
+// ExplainViolations evaluates the constraint with provenance recording
+// and returns the derivation tree of every satisfiable panic tuple —
+// why the constraint is (conditionally) violated on this state. An
+// empty slice means the constraint holds; a budget trip is returned as
+// its *budget.Exceeded error.
+func (v *Verifier) ExplainViolations(target containment.Constraint, db *ctable.Database) (out []*prov.Tree, err error) {
+	defer guard.Recover("verify.ExplainViolations", &err)
+	out, _, _, err = v.panicDerivations(target, db, -1)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// panicDerivations evaluates the target on state with provenance
+// recording and walks its satisfiable panic tuples: it returns their
+// disjoined condition, the derivation trees of the first limit of them
+// (limit < 0: all) and the solver work the walk cost. A budget trip,
+// in the evaluation or in the solver, comes back as a *budget.Exceeded
+// error beside whatever was gathered before it.
+func (v *Verifier) panicDerivations(target containment.Constraint, state *ctable.Database, limit int) (trees []*prov.Tree, violation *cond.Formula, st solver.Stats, err error) {
+	violation = cond.False()
 	rec := prov.NewRecorder(0)
 	res, err := faurelog.Eval(target.Program, state, faurelog.Options{
-		Prov: rec, Observer: v.Obs, Budget: v.Budget, Workers: v.Workers, NoPlan: v.NoPlan,
+		Prov: rec, Observer: v.Obs, Budget: v.Budget, NoPlan: v.NoPlan,
 	})
 	if err != nil {
-		return err
+		return nil, violation, st, err
 	}
 	if res.Truncated != nil {
-		x.BudgetExhausted = true
-		return nil
+		return nil, violation, st, res.Truncated
 	}
 	tbl := res.DB.Table(containment.PanicPred)
 	if tbl == nil {
-		return nil
+		return nil, violation, st, nil
 	}
 	s := solver.New(state.Doms)
 	s.SetBudget(v.Budget)
+	defer func() { st = s.Stats() }()
 	xp := prov.NewExplainer(rec, res.DB)
-	violation := cond.False()
 	for _, tp := range tbl.Tuples {
 		sat, err := s.Satisfiable(tp.Condition())
 		if err != nil {
-			if _, ok := budget.As(err); ok {
-				x.BudgetExhausted = true
-				break
-			}
-			return err
+			return trees, violation, st, err
 		}
 		if !sat {
 			continue
 		}
 		violation = cond.Or(violation, tp.Condition())
-		if len(x.Derivations) < maxDerivations {
-			x.Derivations = append(x.Derivations, xp.Explain(containment.PanicPred, tp))
+		if limit < 0 || len(trees) < limit {
+			trees = append(trees, xp.Explain(containment.PanicPred, tp))
 		}
 	}
-	st := s.Stats()
-	x.SatCalls += int64(st.SatCalls)
-	x.CacheHits += int64(st.CacheHits)
-	if !violation.IsFalse() {
-		*focus = violation
-	}
-	return nil
+	return trees, violation, st, nil
 }
 
 // findFlips probes single-variable resolutions of the violation

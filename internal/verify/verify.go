@@ -100,10 +100,6 @@ type Verifier struct {
 	// set and the structured reason in Report.Reason. Nil disables
 	// governance.
 	Budget *budget.B
-	// Workers sets the parallelism of the fauré-log evaluations the
-	// tests run (<= 1 is sequential). Verdicts and witness tables are
-	// identical at any worker count.
-	Workers int
 	// NoPlan disables cost-guided join planning in the evaluations
 	// (verdicts and witness tables are identical either way).
 	NoPlan bool
@@ -168,7 +164,7 @@ func (v *Verifier) CategoryI(target containment.Constraint, known []containment.
 		v.countVerdict("category_i", Unknown, "outside-fragment")
 		return Report{Verdict: Unknown, Reason: ferr.Error()}, nil
 	}
-	res, err := containment.SubsumesWith(target, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget, Workers: v.Workers, NoPlan: v.NoPlan})
+	res, err := containment.SubsumesWith(target, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget, NoPlan: v.NoPlan})
 	if err != nil {
 		if rep, err, ok := v.degraded("category_i", span, err); ok {
 			return rep, err
@@ -199,7 +195,7 @@ func (v *Verifier) CategoryII(target containment.Constraint, u rewrite.Update, k
 		v.countVerdict("category_ii", Unknown, "outside-fragment")
 		return Report{Verdict: Unknown, Reason: ferr.Error()}, nil
 	}
-	res, err := containment.SubsumesAfterUpdateWith(target, u, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget, Workers: v.Workers, NoPlan: v.NoPlan})
+	res, err := containment.SubsumesAfterUpdateWith(target, u, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget, NoPlan: v.NoPlan})
 	if err != nil {
 		if rep, err, ok := v.degraded("category_ii", span, err); ok {
 			return rep, err
@@ -226,7 +222,7 @@ func (v *Verifier) Direct(target containment.Constraint, db *ctable.Database) (r
 		span = o.StartSpan("verify.direct", obs.String("target", target.Name))
 		defer span.End()
 	}
-	res, err := faurelog.Eval(target.Program, db, faurelog.Options{Observer: v.Obs, Budget: v.Budget, Workers: v.Workers, NoPlan: v.NoPlan})
+	res, err := faurelog.Eval(target.Program, db, faurelog.Options{Observer: v.Obs, Budget: v.Budget, NoPlan: v.NoPlan})
 	if err != nil {
 		return Report{}, err
 	}
@@ -378,40 +374,6 @@ func names(cs []containment.Constraint) string {
 		out[i] = c.Name
 	}
 	return strings.Join(out, ", ")
-}
-
-// ExplainViolations evaluates the constraint with derivation tracing
-// and returns the explanation tree of every satisfiable panic
-// derivation — why the constraint is (conditionally) violated on this
-// state. An empty slice means the constraint holds.
-func (v *Verifier) ExplainViolations(target containment.Constraint, db *ctable.Database) (out []*faurelog.Explanation, err error) {
-	defer guard.Recover("verify.ExplainViolations", &err)
-	res, err := faurelog.Eval(target.Program, db, faurelog.Options{Trace: true, Budget: v.Budget, Workers: v.Workers, NoPlan: v.NoPlan})
-	if err != nil {
-		return nil, err
-	}
-	if res.Truncated != nil {
-		return nil, res.Truncated
-	}
-	tbl := res.DB.Table(containment.PanicPred)
-	if tbl == nil {
-		return nil, nil
-	}
-	s := solver.New(db.Doms)
-	s.SetBudget(v.Budget)
-	for _, tp := range tbl.Tuples {
-		sat, err := s.Satisfiable(tp.Condition())
-		if err != nil {
-			return nil, err
-		}
-		if !sat {
-			continue
-		}
-		if e := res.Explain(containment.PanicPred, tp); e != nil {
-			out = append(out, e)
-		}
-	}
-	return out, nil
 }
 
 // flattenIfNeeded inlines a target's intermediate predicates so the

@@ -296,11 +296,23 @@ func TestExplainViolations(t *testing.T) {
 	if len(exps) == 0 {
 		t.Fatalf("expected violation derivations")
 	}
-	out := exps[0].String()
-	for _, frag := range []string{"panic()", "r(Mkt, CS", "not fw(Mkt, CS)"} {
+	tree := exps[0]
+	out := tree.String()
+	for _, frag := range []string{"panic()", "r(Mkt, CS", "not fw(Mkt, CS)", "@ s0 r0"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("explanation missing %q:\n%s", frag, out)
 		}
+	}
+	// The tree is the provenance record: the panic rule at the root, the
+	// frozen r fact as an EDB leaf and the fw absence as a negated leaf.
+	if tree.Pred != "panic" || tree.Rule == "" || len(tree.Children) != 2 {
+		t.Fatalf("panic tree shape: %+v", tree)
+	}
+	if c := tree.Children[0]; c.Pred != "r" || !c.EDB {
+		t.Errorf("first parent should be the r EDB fact: %+v", c)
+	}
+	if c := tree.Children[1]; c.Pred != "fw" || !c.Negated {
+		t.Errorf("second parent should be the negated fw literal: %+v", c)
 	}
 	// Holding constraints yield none.
 	ok := network.EnterpriseState(false)
