@@ -57,7 +57,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "faure-bench:", err)
 		os.Exit(obsflag.ExitError)
 	}
-	opts := faure.Options{Observer: ob.Observer(), Budget: ob.Budget(), NoPlan: ob.NoPlan()}
+	opts := faure.Options{Observer: ob.Observer(), Budget: ob.Budget()}
 	if *provCap != 0 {
 		capN := *provCap
 		if capN < 0 {
@@ -228,11 +228,6 @@ type benchWorkload struct {
 	ProvEdges   int64 `json:"prov_edges,omitempty"`
 	ProvParents int64 `json:"prov_parents,omitempty"`
 	ProvEvicted int64 `json:"prov_evicted,omitempty"`
-	// WallNoPlanMS and PlanSpeedup are set on the join workload: the
-	// same run with -no-plan (written-order evaluation) and the ratio
-	// wall_noplan_ms / wall_ms.
-	WallNoPlanMS float64 `json:"wall_noplan_ms,omitempty"`
-	PlanSpeedup  float64 `json:"plan_speedup,omitempty"`
 }
 
 // benchReport is the top-level JSON document.
@@ -263,8 +258,7 @@ type benchIntern struct {
 // surfaces as the returned budget error so main exits with code 3.
 func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, outPath string, opts faure.Options) error {
 	var results []*faure.Table4Result
-	// joins[i] is the join-planner stress workload sizes[i] introduced —
-	// the measured run and its written-order (-no-plan) counterpart —
+	// joins[i] is the join-planner stress workload sizes[i] introduced,
 	// or nil when an earlier size already ran the same host count (see
 	// joinHosts).
 	var joins []*joinRun
@@ -291,8 +285,8 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 			return err
 		}
 		joins = append(joins, jr)
-		if jr.truncated != nil {
-			truncated = jr.truncated
+		if jr.res.Truncated != nil {
+			truncated = jr.res.Truncated
 			break
 		}
 	}
@@ -305,14 +299,9 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 				continue
 			}
 			row := j.res.Row
-			fmt.Fprintf(w, "  join   prefixes=%-8d hosts=%-6d wall=%v tuples=%d probes=%d multi=%d scans=%d",
+			fmt.Fprintf(w, "  join   prefixes=%-8d hosts=%-6d wall=%v tuples=%d probes=%d multi=%d scans=%d\n",
 				j.prefixes, j.res.Hosts, row.Wall, row.Tuples,
 				row.StoreProbes, row.StoreMultiProbes, row.StoreScans)
-			if j.noPlan != nil && row.Wall > 0 {
-				fmt.Fprintf(w, " wall_noplan=%v plan_speedup=%.2fx",
-					j.noPlan.Row.Wall, float64(j.noPlan.Row.Wall)/float64(row.Wall))
-			}
-			fmt.Fprintln(w)
 		}
 	}
 	if truncated != nil {
@@ -364,42 +353,29 @@ func run(w io.Writer, sizes []int, seed int64, pool int, ablate, jsonOut bool, o
 }
 
 // joinRun is the join-stress workload at one host count: the sweep
-// size that first reached it, the measured run and its written-order
-// (-no-plan) counterpart for the plan-speedup column.
+// size that first reached it and the measured run.
 type joinRun struct {
-	prefixes  int
-	res       *faure.JoinStressResult
-	noPlan    *faure.JoinStressResult
-	truncated *faure.BudgetExceeded
+	prefixes int
+	res      *faure.JoinStressResult
 }
 
 // joinHosts is the join-stress host count for a sweep size: the prefix
-// count, capped at 1000. The written-order (-no-plan) baseline the
-// workload exists to measure is quadratic in the host count, so larger
-// sweeps would spend the whole budget in the baseline run. Sizes that
-// reach the cap share one topology, so the sweep runs it once.
+// count, capped at 1000. The join workload measures the planner on a
+// fixed fat-tree, not the RIB scale the sweep varies; the cap keeps its
+// row at the 1000-host size every committed report (and perfbench's
+// fattree-join workload) uses, so -baseline compares like with like.
+// Sizes that reach the cap share one topology, so the sweep runs it
+// once.
 func joinHosts(prefixes int) int { return min(prefixes, 1000) }
 
 // runJoin executes the join-stress workload at one host count; the
 // printed summary reports the actual host count next to the sweep size.
 func runJoin(prefixes, hosts int, seed int64, opts faure.Options) (*joinRun, error) {
-	jr := &joinRun{prefixes: prefixes}
 	res, err := faure.RunJoinStress(faure.JoinStressConfig{Hosts: hosts, Seed: seed, Options: opts})
 	if err != nil {
 		return nil, err
 	}
-	jr.res = res
-	if res.Truncated != nil {
-		jr.truncated = res.Truncated
-		return jr, nil
-	}
-	npOpts := opts
-	npOpts.NoPlan = true
-	jr.noPlan, err = faure.RunJoinStress(faure.JoinStressConfig{Hosts: hosts, Seed: seed, Options: npOpts})
-	if err != nil {
-		return jr, err
-	}
-	return jr, nil
+	return &joinRun{prefixes: prefixes, res: res}, nil
 }
 
 // workloadFromRow converts one query's measurements into the JSON
@@ -455,14 +431,7 @@ func buildReport(results []*faure.Table4Result, joins []*joinRun, seed int64, po
 		}
 		if i < len(joins) && joins[i] != nil {
 			j := joins[i]
-			wl := workloadFromRow(j.res.Row, j.prefixes)
-			if j.noPlan != nil {
-				wl.WallNoPlanMS = float64(j.noPlan.Row.Wall.Microseconds()) / 1000
-				if j.res.Row.Wall > 0 {
-					wl.PlanSpeedup = float64(j.noPlan.Row.Wall) / float64(j.res.Row.Wall)
-				}
-			}
-			report.Workloads = append(report.Workloads, wl)
+			report.Workloads = append(report.Workloads, workloadFromRow(j.res.Row, j.prefixes))
 		}
 	}
 	is := faure.CondInternStats()

@@ -69,12 +69,8 @@ func TestRunJSONReport(t *testing.T) {
 		if w.InternHits+w.InternMisses <= 0 || w.InternLive <= 0 {
 			t.Errorf("%s: intern counters not populated: %+v", w.Name, w)
 		}
-		if w.Name == "join" && (w.WallNoPlanMS <= 0 || w.PlanSpeedup <= 0) {
-			t.Errorf("join workload missing the -no-plan baseline columns: %+v", w)
-		}
 		w.WallMS, w.SQLMS, w.SolverMS = 0, 0, 0
 		w.InternHits, w.InternMisses, w.InternLive = 0, 0, 0
-		w.WallNoPlanMS, w.PlanSpeedup = 0, 0
 	}
 	golden := benchReport{
 		Benchmark: "table4", Seed: 1, Pool: 10,
@@ -94,10 +90,10 @@ func TestRunJSONReport(t *testing.T) {
 			{Name: "q8", Prefixes: 50, Iterations: 1, Derived: 293, AbsorbProbes: 65, SatCalls: 358, Tuples: 293,
 				SolverCacheHits: 201, SolverCertHits: 64, SolverFastPathHits: 93,
 				StoreProbes: 1, ProbeHitRatio: 1},
-			{Name: "join", Prefixes: 50, Iterations: 3, Derived: 1784, Pruned: 2649, Absorbed: 1893, AbsorbProbes: 3054, SatCalls: 8771, Tuples: 1311,
-				SolverCacheHits: 7567, SolverCertHits: 18, SolverFastPathHits: 1186,
-				StoreProbes: 495, StoreMultiProbes: 95, StoreScans: 11, Intersections: 26,
-				ProbeHitRatio: 590.0 / 601.0, PlansPlanned: 2, PlansReordered: 2},
+			{Name: "join", Prefixes: 50, Iterations: 3, Derived: 1880, Pruned: 18, Absorbed: 1206, AbsorbProbes: 2631, SatCalls: 5717, Tuples: 1440,
+				SolverCacheHits: 4721, SolverCertHits: 2, SolverFastPathHits: 994,
+				StoreProbes: 499, StoreMultiProbes: 95, StoreScans: 3, Intersections: 26,
+				ProbeHitRatio: 594.0 / 597.0, PlansPlanned: 2, PlansReordered: 2},
 		},
 	}
 	if len(report.Workloads) != len(golden.Workloads) {
@@ -132,7 +128,6 @@ func TestRunJSONDeterministic(t *testing.T) {
 		for i := range r.Workloads {
 			w := &r.Workloads[i]
 			w.WallMS, w.SQLMS, w.SolverMS = 0, 0, 0
-			w.WallNoPlanMS, w.PlanSpeedup = 0, 0
 			// Intern counters vary with process history (a warm global
 			// intern table converts misses into hits); the determinism
 			// contract covers the evaluation counters, not them.
@@ -207,7 +202,8 @@ func TestCompareReports(t *testing.T) {
 }
 
 // TestCheckBaseline runs the gate end to end: a report compared against
-// itself passes; against a doctored faster baseline it fails non-nil.
+// itself passes; a doctored pair in which every workload slowed down
+// fails non-nil.
 func TestCheckBaseline(t *testing.T) {
 	dir := t.TempDir()
 	head := filepath.Join(dir, "head.json")
@@ -225,16 +221,21 @@ func TestCheckBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Doctor the baseline so every real workload appears to have been
-	// much faster before, forcing the gate to trip.
+	// Doctor the pair so every workload regressed: the baseline at the
+	// comparison floor, the head at twice it. At 50 prefixes every
+	// workload can run in under 1.25x the floor, so the measured head
+	// alone cannot be relied on to trip the gate.
+	slow := report
+	slow.Workloads = append([]benchWorkload(nil), report.Workloads...)
 	for i := range report.Workloads {
-		report.Workloads[i].WallMS /= 10
-		if report.Workloads[i].WallMS < regressFloorMS {
-			report.Workloads[i].WallMS = regressFloorMS
-		}
+		report.Workloads[i].WallMS = regressFloorMS
+		slow.Workloads[i].WallMS = max(slow.Workloads[i].WallMS, 2*regressFloorMS)
 	}
 	base := filepath.Join(dir, "base.json")
 	if err := writeReport(base, report); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeReport(head, slow); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()

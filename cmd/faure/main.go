@@ -136,7 +136,6 @@ func cmdEval(args []string) error {
 	case "native":
 		res, err = faure.Eval(prog, db, faure.Options{
 			NoEagerPrune: *noPrune, NoAbsorb: *noAbsorb, NoIndex: *noIndex,
-			NoPlan:   ob.NoPlan(),
 			Prov:     rec,
 			Observer: ob.Observer(),
 			Budget:   ob.Budget(),

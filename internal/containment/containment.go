@@ -55,9 +55,6 @@ import (
 type Opts struct {
 	Obs    obs.Observer
 	Budget *budget.B
-	// NoPlan disables cost-guided join planning in the inner
-	// evaluations (results are identical either way).
-	NoPlan bool
 }
 
 // PanicPred is the reserved 0-ary violation predicate.
@@ -244,7 +241,7 @@ func ruleContained(r faurelog.Rule, container *faurelog.Program, base map[string
 	if err != nil {
 		return false, err
 	}
-	res, err := faurelog.Eval(container, db, faurelog.Options{Observer: o, Budget: opt.Budget, NoPlan: opt.NoPlan})
+	res, err := faurelog.Eval(container, db, faurelog.Options{Observer: o, Budget: opt.Budget})
 	if err != nil {
 		return false, err
 	}

@@ -34,14 +34,6 @@ type Options struct {
 	// NoIndex forces full scans instead of hash-index probes in the
 	// relational store.
 	NoIndex bool
-	// NoPlan disables cost-guided join planning: rule bodies are then
-	// evaluated in written order (negations last), probing at most one
-	// indexed column per literal — the pre-planner behaviour, kept as a
-	// debugging escape hatch. Planning never changes results: the
-	// planned executor discovers matches in cost order but replays them
-	// in written order, so tables, conditions and row order are
-	// bit-for-bit identical either way (see plan.go).
-	NoPlan bool
 	// NoSolverCache disables the solver's memoisation of
 	// satisfiability results (ablation knob).
 	NoSolverCache bool
@@ -177,37 +169,6 @@ func (s Stats) SatCallsPerDerived() float64 {
 		return 0
 	}
 	return float64(s.SolverSearches) / float64(s.Derived)
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.SQLTime += other.SQLTime
-	s.SolverTime += other.SolverTime
-	s.Derived += other.Derived
-	s.Pruned += other.Pruned
-	s.Absorbed += other.Absorbed
-	s.Iterations += other.Iterations
-	s.SatCalls += other.SatCalls
-	s.SolverCacheHits += other.SolverCacheHits
-	s.SolverCertHits += other.SolverCertHits
-	s.SolverFastPathHits += other.SolverFastPathHits
-	s.SolverSearches += other.SolverSearches
-	s.MemoEvictions += other.MemoEvictions
-	s.AbsorbProbes += other.AbsorbProbes
-	s.InternHits += other.InternHits
-	s.InternMisses += other.InternMisses
-	// Live is a gauge over a shared global table, not per-run work.
-	s.InternLive = max(s.InternLive, other.InternLive)
-	s.Probes += other.Probes
-	s.MultiProbes += other.MultiProbes
-	s.Scans += other.Scans
-	s.FallbackScans += other.FallbackScans
-	s.Intersections += other.Intersections
-	s.PlansPlanned += other.PlansPlanned
-	s.PlansReordered += other.PlansReordered
-	s.ProvEdges += other.ProvEdges
-	s.ProvParents += other.ProvParents
-	s.ProvEvicted += other.ProvEvicted
 }
 
 // Result is the outcome of an evaluation: the database extended with
@@ -747,15 +708,6 @@ type app struct {
 	sink     func(string, ctable.Tuple)
 }
 
-// emit hands one completed body match to the engine: the rule (its body
-// in execution order), the slot values of the final bindings, the
-// accumulated body conditions and (when recording provenance) the
-// source tuples. vals is the join's live binding array and srcs its
-// live source stack; neither outlives the call.
-func (x *app) emit(r *crule, vals []cond.Term, conds []*cond.Formula, srcs []Source) error {
-	return x.e.emit(r, vals, conds, srcs, x.sink)
-}
-
 // deriveRule joins the rule body — with the deltaIdx-th literal
 // (an index into the compiled, positives-first body) restricted to
 // deltaTuples when deltaIdx >= 0 — and emits each completed match,
@@ -779,6 +731,28 @@ func (e *engine) deriveRule(r *crule, deltaIdx int, deltaTuples []ctable.Tuple, 
 		ordered.body = body
 		deltaIdx = 0
 	}
+	// Cost-guided planning: when the greedy cost model finds a cheaper
+	// positive-literal order than the written one, the join runs the
+	// body in that order, negations still last (see plan.go).
+	nPos := len(ordered.body)
+	for i, a := range ordered.body {
+		if a.Neg {
+			nPos = i
+			break
+		}
+	}
+	if nPos > 1 {
+		order, changed := e.planPositives(&ordered, deltaIdx, nPos)
+		e.stats.PlansPlanned++
+		if changed {
+			e.stats.PlansReordered++
+			body := make([]catom, 0, len(ordered.body))
+			for _, slot := range order {
+				body = append(body, ordered.body[slot])
+			}
+			ordered.body = append(body, ordered.body[nPos:]...)
+		}
+	}
 	if e.needSrcs {
 		ordered.str = ordered.String()
 	}
@@ -790,41 +764,14 @@ func (e *engine) deriveRule(r *crule, deltaIdx int, deltaTuples []ctable.Tuple, 
 		b:        newBinding(r.nvars),
 		sink:     sink,
 	}
-	// Cost-guided planning: when the greedy cost model finds a cheaper
-	// positive-literal order than the written one, run the planned
-	// executor — it discovers matches in plan order but replays them in
-	// written order, so the emissions below are bit-identical either
-	// way (see plan.go). A plan identical to the written order falls
-	// through to the streaming join, which costs nothing extra.
-	if !e.opts.NoPlan {
-		nPos := len(ordered.body)
-		for i, a := range ordered.body {
-			if a.Neg {
-				nPos = i
-				break
-			}
-		}
-		if nPos > 1 {
-			order, changed := e.planPositives(&ordered, deltaIdx, nPos)
-			e.stats.PlansPlanned++
-			if changed {
-				e.stats.PlansReordered++
-				return x.runPlanned(order, nPos)
-			}
-		}
-	}
 	var srcs []Source
 	if e.needSrcs {
 		srcs = make([]Source, 0, len(ordered.body))
 	}
-	return x.join(0, x.newConds(), srcs)
-}
-
-// newConds returns an empty condition list with room for everything
-// one match accumulates: up to two conditions per positive literal (the
-// tuple's and the match's equalities), one per negated literal.
-func (x *app) newConds() []*cond.Formula {
-	return make([]*cond.Formula, 0, 2*len(x.r.body))
+	// Room for everything one match accumulates: up to two conditions
+	// per positive literal (the tuple's and the match's equalities), one
+	// per negated literal.
+	return x.join(0, make([]*cond.Formula, 0, 2*len(ordered.body)), srcs)
 }
 
 // String renders the rule with its body in the compiled order.
@@ -838,12 +785,16 @@ func (r *crule) String() string {
 }
 
 // join matches body literal i and everything after it, depth first,
-// handing each completed match to emit. It reads the store as of the
-// round's start (commits wait in e.pending until the barrier).
+// handing each completed match to the engine's emit: the slot values of
+// the final bindings, the accumulated body conditions and (when
+// recording provenance) the source tuples. The binding array and the
+// source stack are live join state; neither outlives the emit call. It
+// reads the store as of the round's start (commits wait in e.pending
+// until the barrier).
 func (x *app) join(i int, conds []*cond.Formula, srcs []Source) error {
 	r := x.r
 	if i == len(r.body) {
-		return x.emit(r, x.b.vals, conds, srcs)
+		return x.e.emit(r, x.b.vals, conds, srcs, x.sink)
 	}
 	a := &r.body[i]
 	if a.Neg {

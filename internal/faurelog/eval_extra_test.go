@@ -233,16 +233,6 @@ func TestMaxIterations(t *testing.T) {
 	}
 }
 
-// TestStatsAdd covers the accumulator.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Derived: 1, Pruned: 2, Absorbed: 3, Iterations: 4, SatCalls: 5}
-	b := Stats{Derived: 10, Pruned: 20, Absorbed: 30, Iterations: 40, SatCalls: 50}
-	a.Add(b)
-	if a.Derived != 11 || a.Pruned != 22 || a.Absorbed != 33 || a.Iterations != 44 || a.SatCalls != 55 {
-		t.Errorf("Add wrong: %+v", a)
-	}
-}
-
 // TestAbsorptionCountsAndEffect: deriving the same data part under a
 // strictly weaker condition gets absorbed.
 func TestAbsorptionCountsAndEffect(t *testing.T) {

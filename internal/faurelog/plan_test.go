@@ -1,13 +1,6 @@
 package faurelog
 
-import (
-	"fmt"
-	"strings"
-	"testing"
-
-	"faure/internal/cond"
-	"faure/internal/ctable"
-)
+import "testing"
 
 // planFixture parses a program and database and returns an engine whose
 // store reflects the database and whose rules are compiled, for driving
@@ -87,148 +80,6 @@ func TestPlanTiesKeepWrittenOrder(t *testing.T) {
 	}
 }
 
-// planParity evaluates the program with the planner on and off and
-// requires identical dumps.
-func planParity(t *testing.T, progSrc, dbSrc string) {
-	t.Helper()
-	prog, err := Parse(progSrc)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	db, err := ParseDatabase(dbSrc)
-	if err != nil {
-		t.Fatalf("ParseDatabase: %v", err)
-	}
-	run := func(noPlan bool) string {
-		res, err := Eval(prog, db, Options{NoPlan: noPlan})
-		if err != nil {
-			t.Fatalf("Eval(noPlan=%v): %v", noPlan, err)
-		}
-		return dumpResult(res)
-	}
-	if base, got := run(true), run(false); got != base {
-		t.Errorf("planner changed results\n-- no-plan --\n%s-- planned --\n%s", base, got)
-	}
-}
-
-// A three-way join over relations mixing constants and c-variables:
-// the planner reorders (src is smallest), and the replay keys must
-// reproduce the constants-then-cvars candidate enumeration.
-func TestPlannedParityMultiJoinCVars(t *testing.T) {
-	planParity(t, `h(y, w) :- mix(x, y), src(x), ext(y, w).`, `
-		var $a in {1, 2, 3}.
-		var $b in {1, 2, 3}.
-		mix(1, 10). mix($a, 20). mix(2, 30). mix(1, 40). mix($b, 50). mix(3, 60).
-		src(1). src(2). src($a).
-		ext(10, 7). ext(20, 7). ext(30, 8). ext(40, 8). ext(50, 9). ext(60, 9).
-	`)
-}
-
-// Recursive rule with a pinned delta plus a cheap filter literal the
-// planner hoists above the second recursive literal.
-func TestPlannedParityRecursiveDelta(t *testing.T) {
-	planParity(t, `
-		path(x, y) :- edge(x, y).
-		path(x, z) :- path(x, y), path(y, z), hub(y).
-	`, `
-		var $e in {2, 3}.
-		edge(1, 2). edge(2, 3). edge(3, 4). edge($e, 5). edge(4, 6).
-		hub(2). hub(3). hub(4). hub(5).
-	`)
-}
-
-// Negated literal rides the planned rule: its condition is rebuilt at
-// replay with the canonical bindings, against a relation holding
-// c-variable tuples.
-func TestPlannedParityNegation(t *testing.T) {
-	planParity(t, `q(x, y) :- node(x), link(x, y), not bad(y).`, `
-		var $u in {20, 30}.
-		node(1). node(2).
-		link(1, 10). link(1, 20). link(2, 30). link(2, 40). link(1, 30).
-		bad(20). bad($u).
-	`)
-}
-
-// The ablation knobs must not break parity: deferred pruning and
-// absorption off change which emissions survive, but planner on/off
-// must still agree.
-func TestPlannedParityAblations(t *testing.T) {
-	progSrc := `h(y, w) :- mix(x, y), src(x), ext(y, w).`
-	dbSrc := `
-		var $a in {1, 2, 3}.
-		mix(1, 10). mix($a, 20). mix(2, 30). mix(1, 40).
-		src(1). src(2). src($a).
-		ext(10, 7). ext(20, 7). ext(30, 8). ext(40, 8).
-	`
-	prog, err := Parse(progSrc)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	db, err := ParseDatabase(dbSrc)
-	if err != nil {
-		t.Fatalf("ParseDatabase: %v", err)
-	}
-	for _, opts := range []Options{
-		{NoEagerPrune: true},
-		{NoAbsorb: true},
-		{NoIndex: true},
-		{NoEagerPrune: true, NoAbsorb: true},
-	} {
-		off := opts
-		off.NoPlan = true
-		a, err := Eval(prog, db, off)
-		if err != nil {
-			t.Fatalf("Eval no-plan %+v: %v", opts, err)
-		}
-		b, err := Eval(prog, db, opts)
-		if err != nil {
-			t.Fatalf("Eval planned %+v: %v", opts, err)
-		}
-		if dumpResult(a) != dumpResult(b) {
-			t.Errorf("parity broken under %+v\n-- no-plan --\n%s-- planned --\n%s", opts, dumpResult(a), dumpResult(b))
-		}
-	}
-}
-
-// Incremental propagation plans its delta units like scratch rounds.
-func TestPlannedParityIncremental(t *testing.T) {
-	progSrc := `
-		path(x, y) :- edge(x, y).
-		path(x, z) :- path(x, y), path(y, z), hub(y).
-	`
-	prog, err := Parse(progSrc)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	db, err := ParseDatabase(`
-		edge(1, 2). edge(2, 3).
-		hub(2). hub(3). hub(4).
-	`)
-	if err != nil {
-		t.Fatalf("ParseDatabase: %v", err)
-	}
-	added := map[string][]ctable.Tuple{
-		"edge": {
-			ctable.NewTuple([]cond.Term{cond.Int(3), cond.Int(4)}, nil),
-			ctable.NewTuple([]cond.Term{cond.Int(4), cond.Int(5)}, nil),
-		},
-	}
-	run := func(noPlan bool) string {
-		base, err := Eval(prog, db, Options{NoPlan: noPlan})
-		if err != nil {
-			t.Fatalf("Eval: %v", err)
-		}
-		inc, err := EvalIncrement(prog, base.DB, added, Options{NoPlan: noPlan})
-		if err != nil {
-			t.Fatalf("EvalIncrement: %v", err)
-		}
-		return dumpResult(inc)
-	}
-	if a, b := run(true), run(false); a != b {
-		t.Errorf("incremental parity broken\n-- no-plan --\n%s-- planned --\n%s", a, b)
-	}
-}
-
 // Planner decisions and store counters surface in Stats.
 func TestPlanStats(t *testing.T) {
 	prog, err := Parse(`h(y, w) :- mix(x, y), src(x), ext(y, w).`)
@@ -257,56 +108,56 @@ func TestPlanStats(t *testing.T) {
 	if r := s.ProbeHitRatio(); r <= 0 || r > 1 {
 		t.Errorf("ProbeHitRatio = %v", r)
 	}
-	off, err := Eval(prog, db, Options{NoPlan: true})
-	if err != nil {
-		t.Fatalf("Eval no-plan: %v", err)
-	}
-	if off.Stats.PlansReordered != 0 {
-		t.Errorf("no-plan run claims reordered plans: %+v", off.Stats)
-	}
 }
 
-// Provenance must be identical too: the replay rebuilds sources in
-// written order.
+// TestPlannedParityTrace: provenance follows the join that ran. The
+// rule is written link-first, the planner starts from the smaller node
+// relation, and every derivation records the rule in that planned
+// order with its sources in the same order: node, link, then the
+// negated bad pattern — each positive source a stored tuple that
+// agrees with the head.
 func TestPlannedParityTrace(t *testing.T) {
-	progSrc := `q(x, y) :- node(x), link(x, y), not bad(y).`
-	dbSrc := `
+	prog := MustParse(`q(x, y) :- link(x, y), node(x), not bad(y).`)
+	db, err := ParseDatabase(`
 		var $u in {20, 30}.
 		node(1). node(2).
-		link(1, 10). link(1, 20). link(2, 30). link(2, 40).
+		link(1, 10). link(1, 20). link(2, 30). link(2, 40). link(3, 50).
 		bad(20). bad($u).
-	`
-	prog, err := Parse(progSrc)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	db, err := ParseDatabase(dbSrc)
+	`)
 	if err != nil {
 		t.Fatalf("ParseDatabase: %v", err)
 	}
-	run := func(noPlan bool) map[string]string {
-		res, x := explainRun(t, prog, db, Options{NoPlan: noPlan})
-		out := map[string]string{}
-		for _, tp := range res.DB.Tables["q"].Tuples {
-			d := x.Explain("q", tp)
-			if d.Rule == "" {
-				t.Fatalf("no derivation for %v", tp)
-			}
-			var srcs []string
-			for _, c := range d.Children {
-				srcs = append(srcs, fmt.Sprintf("%s %s[%s] neg=%v", c.Pred, c.Tuple, c.Cond, c.Negated))
-			}
-			out[tp.Key()] = d.Rule + " | " + strings.Join(srcs, " ; ")
+	res, x := explainRun(t, prog, db, Options{})
+	if res.Stats.PlansReordered != 1 {
+		t.Fatalf("PlansReordered = %d, want 1", res.Stats.PlansReordered)
+	}
+	const planned = "q(x, y) :- node(x), link(x, y), not bad(y)."
+	tuples := res.DB.Table("q").Tuples
+	if len(tuples) != 3 {
+		t.Fatalf("q has %d tuples, want 3: %v", len(tuples), res.DB.Table("q"))
+	}
+	for _, tp := range tuples {
+		d := x.Explain("q", tp)
+		if d.Rule != planned {
+			t.Fatalf("rule for %v = %q, want %q", tp, d.Rule, planned)
 		}
-		return out
-	}
-	a, b := run(true), run(false)
-	if len(a) != len(b) {
-		t.Fatalf("trace count differs: %d vs %d", len(a), len(b))
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Errorf("trace for %s differs:\n no-plan: %s\n planned: %s", k, v, b[k])
+		if len(d.Children) != 3 {
+			t.Fatalf("%v has %d sources, want 3", tp, len(d.Children))
+		}
+		for i, want := range []struct {
+			pred    string
+			tuple   string
+			negated bool
+		}{
+			{"node", "(" + tp.Values[0].String() + ")", false},
+			{"link", "(" + tp.Values[0].String() + ", " + tp.Values[1].String() + ")", false},
+			{"bad", "(" + tp.Values[1].String() + ")", true},
+		} {
+			c := d.Children[i]
+			if c.Pred != want.pred || c.Tuple != want.tuple || c.Negated != want.negated || c.Missing {
+				t.Errorf("%v source %d = %s(%s) negated=%v missing=%v, want %s(%s) negated=%v",
+					tp, i, c.Pred, c.Tuple, c.Negated, c.Missing, want.pred, want.tuple, want.negated)
+			}
 		}
 	}
 }

@@ -59,7 +59,14 @@ func (m Mismatch) String() string {
 // the list of mismatches — empty means the property holds — and stops
 // early after limit mismatches (0 = no limit).
 func Check(prog *faurelog.Program, db *ctable.Database, vars []string, limit int) ([]Mismatch, error) {
-	symbolic, err := faurelog.Eval(prog, db, faurelog.Options{})
+	return CheckWith(prog, db, vars, limit, faurelog.Options{})
+}
+
+// CheckWith is Check with the symbolic evaluation run under opts (an
+// ablation such as NoAbsorb or NoIndex); every per-world evaluation
+// keeps the default options, so it stays the reference.
+func CheckWith(prog *faurelog.Program, db *ctable.Database, vars []string, limit int, opts faurelog.Options) ([]Mismatch, error) {
+	symbolic, err := faurelog.Eval(prog, db, opts)
 	if err != nil {
 		return nil, fmt.Errorf("lossless: symbolic evaluation: %w", err)
 	}

@@ -16,8 +16,8 @@ import (
 // and, for a few uplinks, a c-variable endpoint. The workload exists
 // to exercise the cost-guided join planner: its queries are written
 // with the fat relations first and the selective ones last, so the
-// difference between written-order and planned evaluation is the
-// quantity being measured.
+// planner must reorder them to avoid the large intermediate joins
+// written order would enumerate.
 type JoinTopoConfig struct {
 	// Pods is the number of pods (default 4).
 	Pods int

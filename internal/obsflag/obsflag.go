@@ -54,7 +54,6 @@ type Flags struct {
 	timeout   *time.Duration
 	maxSteps  *int64
 	maxTuples *int64
-	noPlan    *bool
 	logJSON   *bool
 	logLevel  *string
 	reg       *obs.Registry
@@ -73,15 +72,10 @@ func Register(fs *flag.FlagSet) *Flags {
 	f.timeout = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited); exceeding it degrades to a partial result and exit code 3")
 	f.maxSteps = fs.Int64("max-solver-steps", 0, "solver search-step budget (0 = unlimited)")
 	f.maxTuples = fs.Int64("max-tuples", 0, "derived-tuple budget (0 = unlimited)")
-	f.noPlan = fs.Bool("no-plan", false, "disable cost-guided join planning and evaluate rule bodies in written order (results are identical either way)")
 	f.logJSON = fs.Bool("log-json", false, "emit structured logs as JSON lines instead of logfmt text")
 	f.logLevel = fs.String("log-level", "warn", "minimum structured-log level: debug, info, warn or error")
 	return f
 }
-
-// NoPlan reports whether cost-guided join planning was disabled (the
-// -no-plan escape hatch).
-func (f *Flags) NoPlan() bool { return *f.noPlan }
 
 // Limits returns the budget limits the flags request (zero fields are
 // unlimited).

@@ -66,9 +66,6 @@ type Config struct {
 	// at publish (read back by consistency tests and /v1/generation).
 	// Costs one dump per update; off by default.
 	Checksum bool
-	// NoPlan disables cost-guided join planning in every evaluation
-	// (results are bit-identical either way).
-	NoPlan bool
 	// Obs receives the server's metrics and spans (nil disables):
 	// serve.generation / serve.inflight / serve.queue gauges,
 	// serve.update_* counters, per-endpoint latency distributions.
@@ -274,7 +271,7 @@ func (s *Server) Replayed() uint64 { return s.replayed.Load() }
 // evalOptions assembles the engine options for one evaluation under
 // the given budget.
 func (s *Server) evalOptions(bud *budget.B) faurelog.Options {
-	opts := faurelog.Options{NoPlan: s.cfg.NoPlan, Budget: bud}
+	opts := faurelog.Options{Budget: bud}
 	if s.obsOn {
 		opts.Observer = s.cfg.Obs
 	}

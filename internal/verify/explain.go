@@ -182,7 +182,7 @@ func (v *Verifier) panicDerivations(target containment.Constraint, state *ctable
 	violation = cond.False()
 	rec := prov.NewRecorder(0)
 	res, err := faurelog.Eval(target.Program, state, faurelog.Options{
-		Prov: rec, Observer: v.Obs, Budget: v.Budget, NoPlan: v.NoPlan,
+		Prov: rec, Observer: v.Obs, Budget: v.Budget,
 	})
 	if err != nil {
 		return nil, violation, st, err

@@ -100,9 +100,6 @@ type Verifier struct {
 	// set and the structured reason in Report.Reason. Nil disables
 	// governance.
 	Budget *budget.B
-	// NoPlan disables cost-guided join planning in the evaluations
-	// (verdicts and witness tables are identical either way).
-	NoPlan bool
 }
 
 // observer returns the effective observer and whether it is live.
@@ -164,7 +161,7 @@ func (v *Verifier) CategoryI(target containment.Constraint, known []containment.
 		v.countVerdict("category_i", Unknown, "outside-fragment")
 		return Report{Verdict: Unknown, Reason: ferr.Error()}, nil
 	}
-	res, err := containment.SubsumesWith(target, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget, NoPlan: v.NoPlan})
+	res, err := containment.SubsumesWith(target, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget})
 	if err != nil {
 		if rep, err, ok := v.degraded("category_i", span, err); ok {
 			return rep, err
@@ -195,7 +192,7 @@ func (v *Verifier) CategoryII(target containment.Constraint, u rewrite.Update, k
 		v.countVerdict("category_ii", Unknown, "outside-fragment")
 		return Report{Verdict: Unknown, Reason: ferr.Error()}, nil
 	}
-	res, err := containment.SubsumesAfterUpdateWith(target, u, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget, NoPlan: v.NoPlan})
+	res, err := containment.SubsumesAfterUpdateWith(target, u, known, v.Doms, v.Schema, containment.Opts{Obs: v.Obs, Budget: v.Budget})
 	if err != nil {
 		if rep, err, ok := v.degraded("category_ii", span, err); ok {
 			return rep, err
@@ -222,7 +219,7 @@ func (v *Verifier) Direct(target containment.Constraint, db *ctable.Database) (r
 		span = o.StartSpan("verify.direct", obs.String("target", target.Name))
 		defer span.End()
 	}
-	res, err := faurelog.Eval(target.Program, db, faurelog.Options{Observer: v.Obs, Budget: v.Budget, NoPlan: v.NoPlan})
+	res, err := faurelog.Eval(target.Program, db, faurelog.Options{Observer: v.Obs, Budget: v.Budget})
 	if err != nil {
 		return Report{}, err
 	}

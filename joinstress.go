@@ -10,17 +10,16 @@ import (
 // fat-tree-style topology with conditioned links (and a few
 // c-variable link endpoints) under a multi-way join query whose rule
 // bodies are written worst-first. It is the benchmark counterpart of
-// Table 4's reachability sweep for the cost-guided join planner: the
-// written-order baseline (Options.NoPlan) enumerates large
-// intermediate joins that the planner avoids.
+// Table 4's reachability sweep for the cost-guided join planner:
+// written-order evaluation would enumerate large intermediate joins
+// that the planner avoids.
 type JoinStressConfig struct {
 	// Hosts is the approximate host count; the topology is sized to
 	// the nearest fat-tree shape (default 16).
 	Hosts int
 	// Seed fixes the link guards and failure sample.
 	Seed int64
-	// Options are passed to the evaluation (NoPlan selects the
-	// written-order baseline).
+	// Options are passed to the evaluation.
 	Options Options
 }
 

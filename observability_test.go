@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"faure"
 )
@@ -183,18 +182,5 @@ func TestObserverDisabledMatchesEnabled(t *testing.T) {
 	}
 	if a, b := plain.DB.Table("reach"), observed.DB.Table("reach"); len(a.Tuples) != len(b.Tuples) {
 		t.Errorf("reach has %d tuples plain, %d observed", len(a.Tuples), len(b.Tuples))
-	}
-}
-
-// TestStatsAdd checks the accumulator used when summing per-query runs.
-func TestStatsAdd(t *testing.T) {
-	s := faure.Stats{SQLTime: time.Second, SolverTime: time.Millisecond,
-		Derived: 1, Pruned: 2, Absorbed: 3, Iterations: 4, SatCalls: 5}
-	s.Add(faure.Stats{SQLTime: time.Second, SolverTime: 2 * time.Millisecond,
-		Derived: 10, Pruned: 20, Absorbed: 30, Iterations: 40, SatCalls: 50})
-	want := faure.Stats{SQLTime: 2 * time.Second, SolverTime: 3 * time.Millisecond,
-		Derived: 11, Pruned: 22, Absorbed: 33, Iterations: 44, SatCalls: 55}
-	if s != want {
-		t.Errorf("Stats.Add = %+v, want %+v", s, want)
 	}
 }
